@@ -1,11 +1,11 @@
 """bivnorm: the bivariate normal copula, end to end.
 
-Univariate normal kernel, Owen's T-function, four independent evaluation
-engines for the bivariate normal CDF, the full copula layer (symmetries,
-conditionals, diagonal machinery, reduction identities), diagonal bounds and
-approximations with worst-case error scans, concordance measures with
-inversions, the skew-normal and Vasicek distributions, and slow reference
-oracles for cross-validation.
+Univariate normal kernel, Owen's T-function, the bivariate normal CDF (an
+array-native Genz kernel and five reference engines), the copula layer
+(symmetries, conditionals, diagonal machinery, reduction identities),
+diagonal bounds and approximations with worst-case error scans, concordance
+measures with inversions, the skew-normal and Vasicek distributions, and
+slow reference oracles for cross-validation.
 """
 
 from .errors import BivnormError, ConvergenceError, DomainError, EngineRejected
@@ -21,7 +21,6 @@ from .gauss import (
 from .owen import owen_t, owen_t_unbounded
 from .engines import (
     Phi2Method,
-    phi2_auto,
     phi2_cdf,
     phi2_density,
     phi2_owen,
@@ -99,7 +98,6 @@ __all__ = [
     "Phi2Method",
     "phi2_density",
     "phi2_cdf",
-    "phi2_auto",
     "phi2_owen",
     "validate_rho",
     "copula_cdf",

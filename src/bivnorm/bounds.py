@@ -37,8 +37,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError
+from .copula import diag_cdf
 from .gauss import norm_cdf, norm_pdf, norm_quantile
-from .owen import owen_t
 
 __all__ = [
     "DiagBoundKind",
@@ -93,19 +93,6 @@ def _g(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
         out = np.array(out, dtype=float)
         out[interior] = norm_cdf(lam * norm_quantile(u_b[interior]))
     return out
-
-
-def _diag(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # C(u, u; rho) through the T-function, vectorized, boundary-safe.
-    u_b, r_b = np.broadcast_arrays(u, rho)
-    out = np.array(np.clip(u_b, 0.0, 1.0), dtype=float)
-    interior = (u_b > 0.0) & (u_b < 1.0)
-    if np.any(interior):
-        with np.errstate(divide="ignore"):
-            lam = np.sqrt((1.0 - r_b[interior]) / (1.0 + r_b[interior]))
-        ui = u_b[interior]
-        out[interior] = ui - 2.0 * owen_t(norm_quantile(ui), lam)
-    return np.clip(out, 0.0, 1.0)
 
 
 def _scalar_like(value: np.ndarray, *inputs) -> float | np.ndarray:
@@ -264,7 +251,7 @@ def bound_error_scan(
     rho = np.linspace(0.0, 1.0, n_rho)
     uu = u[:, None]
     rr = rho[None, :]
-    signed = _evaluate(tag, uu, rr) - _diag(uu, rr)
+    signed = _evaluate(tag, uu, rr) - diag_cdf(uu, rr)
     abs_err = np.abs(signed)
     flat = int(np.nanargmax(abs_err))
     iu, ir = np.unravel_index(flat, abs_err.shape)
@@ -275,10 +262,7 @@ def bound_error_scan(
     if refine:
 
         def err_at(uq: float, rq: float) -> float:
-            s = _evaluate(tag, np.asarray(uq), np.asarray(rq)) - _diag(
-                np.asarray(uq), np.asarray(rq)
-            )
-            return float(np.abs(s))
+            return abs(_evaluate(tag, np.asarray(uq), np.asarray(rq)) - diag_cdf(uq, rq))
 
         u_lo = u[max(iu - 1, 0)]
         u_hi = u[min(iu + 1, len(u) - 1)]

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .engines import DEFAULT_CONFIG, QuadratureConfig, phi2_owen, validate_rho
+from .engines import DEFAULT_CONFIG, phi2_owen, validate_rho
 from .copula import copula_cdf, diag_cdf, halfline_cdf
 from .gauss import norm_cdf, norm_quantile
-from .quadrature import quad1d
+from .quadrature import QuadratureConfig, gauss_legendre, quad1d
 
 __all__ = [
     "Measure",
@@ -103,22 +103,14 @@ def gini_forms(rho: float) -> tuple[float, float, float]:
 # numeric cross-checks from the defining integrals
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre order on [0, 1]; even order keeps nodes off u = 1/2.
 _GRID_N = 512
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre on [0, 1]; even order keeps nodes off u = 1/2.
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[n]
 
 
 def _kendall_numeric(r: float) -> float:
     # 1 - 4 int int (dC/du)(dC/dv) du dv with the closed-form conditionals.
-    t, w = _gl_unit(_GRID_N)
-    x = norm_quantile(t)
+    x, w = gauss_legendre(_GRID_N)
+    x, w = norm_quantile(0.5 * (x + 1.0)), 0.5 * w
     s = np.sqrt(1.0 - r * r)
     cond_u = norm_cdf((x[None, :] - r * x[:, None]) / s)  # dC/du at (u_i, v_j)
     cond_v = norm_cdf((x[:, None] - r * x[None, :]) / s)  # dC/dv at (u_i, v_j)
@@ -128,8 +120,8 @@ def _kendall_numeric(r: float) -> float:
 
 def _spearman_numeric(r: float) -> float:
     # 12 int int C(u, v) du dv - 3, on a tensor grid of the fast engine.
-    t, w = _gl_unit(_GRID_N)
-    x = norm_quantile(t)
+    x, w = gauss_legendre(_GRID_N)
+    x, w = norm_quantile(0.5 * (x + 1.0)), 0.5 * w
     grid = phi2_owen(x[:, None], x[None, :], r)
     return 12.0 * float(np.dot(w, grid @ w)) - 3.0
 

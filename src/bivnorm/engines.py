@@ -1,7 +1,14 @@
 """Bivariate standard normal density and CDF.
 
-Four independent evaluation engines for Phi2(h, k; rho), selectable through
-:class:`Phi2Method`:
+``auto``, the default of :func:`phi2_cdf`, is a vectorized port of Genz's
+``BVNU`` (Genz 2004, Statistics and Computing 14, after Drezner-Wesolowsky):
+one fixed 20-node Gauss-Legendre rule, in asin(rho) for |rho| < 0.925 and on
+the remainder of the expansion about rho = +-1 beyond (reflecting k -> -k for
+rho < 0). Its error floor :data:`AUTO_ERROR_FLOOR` is fixed; a ``cfg`` asking
+for less (under :func:`quad1d`'s abs-or-rel rule) raises ConvergenceError.
+
+Five reference engines, selectable through :class:`Phi2Method`, honour
+``cfg`` and run point by point:
 
 owen
     Half-plane decomposition via Owen's T-function. Closed-form speed,
@@ -19,9 +26,6 @@ tetrachoric
 single_factor_quadrature
     Gauss-Hermite quadrature of the one-factor conditional-independence
     representation with loadings sqrt(|rho|).
-
-``auto`` follows the classical split: correlation-path quadrature from
-independence for |rho| <= 0.8, from the maximum copula beyond.
 """
 
 from __future__ import annotations
@@ -29,25 +33,34 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import roots_hermite
+from scipy.special import log_ndtr
 
 from .errors import ConvergenceError, DomainError, EngineRejected
 from .gauss import norm_cdf, norm_pdf, _as_float_array, _maybe_scalar
 from .owen import owen_t
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad1d
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, gauss_hermite, gauss_legendre, quad1d
 
 __all__ = [
     "Phi2Method",
-    "QuadratureConfig",
     "DEFAULT_CONFIG",
     "validate_rho",
     "phi2_density",
     "phi2_cdf",
-    "phi2_auto",
     "phi2_owen",
 ]
 
 _TWO_PI = 2.0 * np.pi
+_SQRT_2PI = np.sqrt(_TWO_PI)
+
+# Worst absolute error of the auto kernel against 40-digit mpmath on the
+# committed grid of tests/data/phi2_mpmath_grid.csv (measured 2.2e-16),
+# rounded up; auto cannot certify a tolerance below it.
+AUTO_ERROR_FLOOR = 1e-15
+
+# Genz's switch from the arcsine-angle rule to the expansion about +-1, and
+# the order of the one Gauss-Legendre rule both branches use.
+_GENZ_SWITCH = 0.925
+_GENZ_ORDER = 20
 
 # Beyond here the Hermite series needs too many terms to be trustworthy.
 TETRACHORIC_RHO_MAX = 0.6
@@ -55,8 +68,7 @@ TETRACHORIC_RHO_MAX = 0.6
 # Gauss-Hermite order of the single-factor engine, banded by |rho|: the
 # probit factors steepen like 1/sqrt(1-|rho|), so high correlation needs a
 # denser rule to stay below 1e-12.
-_GH_BANDS = ((0.8, 96), (1.0, 768))
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GH_BANDS = ((0.8, 128), (1.0, 768))
 
 
 class Phi2Method(enum.Enum):
@@ -70,12 +82,16 @@ class Phi2Method(enum.Enum):
     SINGLE_FACTOR_QUADRATURE = "single_factor_quadrature"
 
 
-def validate_rho(rho: float, interior: bool = False) -> float:
-    """Check rho in [-1, 1] (strictly inside when ``interior``)."""
-    r = float(rho)
-    if np.isnan(r) or abs(r) > 1.0:
+def validate_rho(rho, interior: bool = False):
+    """Check rho in [-1, 1] (strictly inside when ``interior``); arrays
+    pass through, a scalar comes back as a float."""
+    arr, scalar = _as_float_array(rho)
+    # Plain float arithmetic for a scalar: this check runs inside integrands.
+    r = float(arr) if scalar else arr
+    size = abs(r) if scalar else np.abs(r).max(initial=0.0)
+    if not size <= 1.0:  # NaN fails this too
         raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
-    if interior and abs(r) == 1.0:
+    if interior and size == 1.0:
         raise DomainError("correlation must lie strictly inside (-1, 1) here")
     return r
 
@@ -127,16 +143,14 @@ def phi2_owen(h, k, rho):
 
     rest = ~center
     if np.any(rest):
-        hh, kk = h_b[rest], k_b[rest]
-        uu, vv = u[rest], v[rest]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a_h = np.where(hh != 0.0, (kk / np.where(hh != 0.0, hh, 1.0) - r) / denom, 0.0)
-            a_k = np.where(kk != 0.0, (hh / np.where(kk != 0.0, kk, 1.0) - r) / denom, 0.0)
-        # T at an infinite slope degenerates to sign * (1 - Phi(0))/2 = sign/4.
-        t_h = np.where(hh != 0.0, owen_t(hh, a_h), np.sign(kk) * 0.25)
-        t_k = np.where(kk != 0.0, owen_t(kk, a_k), np.sign(hh) * 0.25)
+        # Adding 0.0 turns -0.0 into +0.0, so a zero argument sends its slope
+        # to +-inf with the sign of the other one; T(0, +-inf) = +-1/4.
+        hh, kk = h_b[rest] + 0.0, k_b[rest] + 0.0
+        with np.errstate(divide="ignore"):
+            a_h = (kk / hh - r) / denom
+            a_k = (hh / kk - r) / denom
         delta = 0.5 * ((hh < 0.0) != (kk < 0.0))
-        out[rest] = 0.5 * (uu + vv) - t_h - t_k - delta
+        out[rest] = 0.5 * (u[rest] + v[rest]) - owen_t(hh, a_h) - owen_t(kk, a_k) - delta
 
     out = np.clip(out, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
     return _maybe_scalar(out.reshape(shape), hs and ks)
@@ -213,13 +227,6 @@ def _tetrachoric(h: float, k: float, rho: float, cfg: QuadratureConfig) -> float
 # ---------------------------------------------------------------------------
 
 
-def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GH_CACHE:
-        x, w = roots_hermite(order)
-        _GH_CACHE[order] = (np.sqrt(2.0) * x, w / np.sqrt(np.pi))
-    return _GH_CACHE[order]
-
-
 def _single_factor(h: float, k: float, rho: float, cfg: QuadratureConfig) -> float:
     # One common factor with loadings of size sqrt(|rho|); the sign of rho
     # goes onto one loading so that alpha * beta = rho.
@@ -227,9 +234,77 @@ def _single_factor(h: float, k: float, rho: float, cfg: QuadratureConfig) -> flo
     beta = np.sqrt(abs(rho))
     s = np.sqrt(1.0 - abs(rho))
     order = next(n for cap, n in _GH_BANDS if abs(rho) <= cap)
-    z, w = _gh_rule(order)
+    z, w = gauss_hermite(order)
     vals = norm_cdf((h - alpha * z) / s) * norm_cdf((k - beta * z) / s)
     return float(np.dot(w, vals))
+
+
+# ---------------------------------------------------------------------------
+# auto: Genz's BVNU kernel (vectorized)
+# ---------------------------------------------------------------------------
+
+
+def _genz_asin(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # Plackett's identity with rho = sin(theta):
+    #   Phi2 = Phi(h) Phi(k)
+    #          + 1/(2pi) int_0^asin(r) exp((hk sin t - (h^2+k^2)/2) / cos^2 t) dt.
+    x, w = gauss_legendre(_GENZ_ORDER)
+    half = 0.5 * np.arcsin(r)
+    sn = np.sin(half[:, None] * (x + 1.0))
+    hk = (h * k)[:, None]
+    hs = (0.5 * (h * h + k * k))[:, None]
+    total = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * w).sum(axis=-1)
+    return half * total / _TWO_PI + norm_cdf(h) * norm_cdf(k)
+
+
+def _genz_high(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # Genz's expansion about rho = +-1, written for the upper orthant
+    # P(X > sh, Y > sk) = Phi2(h, k) at sh = -h, sk = -k; for r < 0 the
+    # second argument is reflected and the result mapped back below.
+    sh = -h
+    sk = np.where(r < 0.0, k, -k)
+    hk = sh * sk
+    as_ = (1.0 - r) * (1.0 + r)
+    a = np.sqrt(as_)
+    bs = (sh - sk) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 80.0
+    bvn = a * np.exp(-0.5 * (bs / as_ + hk)) * (
+        1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_
+    )
+    # exp(-hk/2) Phi(-b/a) in one exponent: exp(-hk/2) alone overflows for
+    # hk < -1418, where the product is far below double precision.
+    b = np.sqrt(bs)
+    bvn -= (_SQRT_2PI * b * np.exp(log_ndtr(-b / a) - 0.5 * hk)
+            * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+    # The smooth remainder, on [0, a] in x = sqrt(1 - r'^2). The loop term
+    # is 1 + c xs (1 + 5 d xs): with d = (12 - hk)/80 the factor 5 matters.
+    x, w = gauss_legendre(_GENZ_ORDER)
+    xs = (0.5 * a[:, None] * (x + 1.0)) ** 2
+    rs = np.sqrt(1.0 - xs)
+    bsx = bs[:, None] / xs
+    hkc = hk[:, None]
+    series = np.exp(-0.5 * (bsx + hkc)) * (1.0 + c[:, None] * xs * (1.0 + 5.0 * d[:, None] * xs))
+    exact = np.exp(-0.5 * bsx - hkc / (1.0 + rs)) / rs
+    bvn = (0.5 * a * ((series - exact) * w).sum(axis=-1) - bvn) / _TWO_PI
+    pos = bvn + norm_cdf(-np.maximum(sh, sk))
+    between = np.where(sh < 0.0, norm_cdf(sk) - norm_cdf(sh), norm_cdf(-sh) - norm_cdf(-sk))
+    neg = np.where(sh >= sk, -bvn, between - bvn)
+    return np.where(r > 0.0, pos, neg)
+
+
+def _genz(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Phi2 for finite h, k and 0 < |r| < 1, given as 1-d arrays."""
+    # Phi(-40) < 1e-348 underflows to 0, so clipping there changes no
+    # result and keeps h k and h^2 finite.
+    h = np.clip(h, -40.0, 40.0)
+    k = np.clip(k, -40.0, 40.0)
+    out = np.empty_like(h)
+    low = np.abs(r) < _GENZ_SWITCH
+    for branch, kernel in ((low, _genz_asin), (~low, _genz_high)):
+        if branch.any():
+            out[branch] = kernel(h[branch], k[branch], r[branch])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,57 +321,50 @@ _ENGINES = {
 
 
 def phi2_cdf(
-    h: float,
-    k: float,
-    rho: float,
+    h,
+    k,
+    rho,
     method: Phi2Method = Phi2Method.AUTO,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """Phi2(h, k; rho) = P(X <= h, Y <= k) for standard normal (X, Y).
 
-    Accepts +-inf arguments (short-circuited to univariate values) and the
-    boundary correlations (short-circuited to the exact limit formulas
-    max(Phi(h)+Phi(k)-1, 0), Phi(h) Phi(k), min(Phi(h), Phi(k))). The result
-    always satisfies those Frechet bounds.
+    h, k and rho broadcast; all-scalar input returns a float. Accepts +-inf
+    arguments (resolved to univariate values) and the boundary correlations
+    (resolved to the exact limit formulas max(Phi(h)+Phi(k)-1, 0),
+    Phi(h) Phi(k), min(Phi(h), Phi(k))). The result always satisfies those
+    Frechet bounds.
     """
-    r = validate_rho(rho)
-    h = float(h)
-    k = float(k)
-    if np.isnan(h) or np.isnan(k):
+    r_arr, r_scalar = _as_float_array(validate_rho(rho))
+    h_arr, h_scalar = _as_float_array(h)
+    k_arr, k_scalar = _as_float_array(k)
+    if np.isnan(h_arr).any() or np.isnan(k_arr).any():
         raise DomainError("phi2_cdf arguments must not be NaN")
-    if not isinstance(method, Phi2Method):
-        method = Phi2Method(method)
+    method = Phi2Method(method)  # a member maps to itself, a tag to its member
 
-    if h == np.inf:
-        return float(norm_cdf(k))
-    if k == np.inf:
-        return float(norm_cdf(h))
-    if h == -np.inf or k == -np.inf:
-        return 0.0
-    if r == 0.0:
-        return float(norm_cdf(h) * norm_cdf(k))
-    if r == 1.0:
-        return float(min(norm_cdf(h), norm_cdf(k)))
-    if r == -1.0:
-        return float(max(norm_cdf(h) + norm_cdf(k) - 1.0, 0.0))
+    h_b, k_b, r_b = np.broadcast_arrays(h_arr, k_arr, r_arr)
+    u = norm_cdf(h_b)
+    v = norm_cdf(k_b)
+    lower = np.maximum(u + v - 1.0, 0.0)
+    upper = np.minimum(u, v)
+    out = np.where(r_b == 0.0, u * v, np.where(r_b > 0.0, upper, lower))
+    out = np.where(h_b == np.inf, v, np.where(k_b == np.inf, u, out))
 
-    if method is Phi2Method.AUTO:
-        method = (
-            Phi2Method.PLACKETT_FROM_INDEPENDENCE
-            if abs(r) <= 0.8
-            else Phi2Method.PLACKETT_FROM_MAX
-        )
-    value = _ENGINES[method](h, k, r, cfg)
-    lower = max(norm_cdf(h) + norm_cdf(k) - 1.0, 0.0)
-    upper = min(norm_cdf(h), norm_cdf(k))
-    return float(min(max(value, lower), upper))
-
-
-def phi2_auto(
-    h: float,
-    k: float,
-    rho: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Phi2 with the default engine split (see module docstring)."""
-    return phi2_cdf(h, k, rho, Phi2Method.AUTO, cfg)
+    inner = np.isfinite(h_b) & np.isfinite(k_b) & (np.abs(r_b) < 1.0) & (r_b != 0.0)
+    if inner.any():
+        hi, ki, ri = h_b[inner], k_b[inner], r_b[inner]
+        if method is Phi2Method.AUTO:
+            value = _genz(hi, ki, ri)
+            # quad1d's rule: fail where the floor misses both tolerances.
+            if cfg.abs_tol < AUTO_ERROR_FLOOR and np.any(
+                AUTO_ERROR_FLOOR > cfg.rel_tol * np.abs(value)
+            ):
+                raise ConvergenceError(
+                    f"auto's error floor {AUTO_ERROR_FLOOR:.0e} misses the requested tolerance",
+                    estimate=AUTO_ERROR_FLOOR,
+                )
+        else:
+            engine = _ENGINES[method]
+            value = np.array([engine(*p, cfg) for p in zip(hi.tolist(), ki.tolist(), ri.tolist())])
+        out[inner] = np.clip(value, lower[inner], upper[inner])
+    return _maybe_scalar(out, h_scalar and k_scalar and r_scalar)

@@ -15,16 +15,15 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
-from .engines import QuadratureConfig, DEFAULT_CONFIG, phi2_density, validate_rho
+from .engines import DEFAULT_CONFIG, phi2_density, validate_rho
 from .gauss import norm_cdf, norm_quantile
-from .quadrature import quad1d
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "FactorModel",
     "McConfig",
     "McEstimate",
     "quad2d_phi2",
-    "quad1d",
     "mc_factor_model",
     "mc_conditional_probability",
 ]

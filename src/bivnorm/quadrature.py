@@ -1,17 +1,23 @@
-"""Adaptive 1-D quadrature and the shared tolerance configuration.
+"""1-D quadrature: adaptive integration, fixed node rules, and the shared
+tolerance configuration.
 
-Every numeric integral in the package (the correlation-path engines, the
+Every adaptive integral in the package (the correlation-path engines, the
 diagonal integral, the concordance checks, the distribution moments) runs
 through :func:`quad1d`, a thin contract-enforcing wrapper around the adaptive
-Gauss-Kronrod integrator in :mod:`scipy.integrate`.
+Gauss-Kronrod integrator in :mod:`scipy.integrate`. Every fixed rule reads
+its nodes from :func:`gauss_legendre` or :func:`gauss_hermite`, which
+compute each order once and share it read-only with all callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
+import numpy as np
 from scipy import integrate
+from scipy.special import roots_hermite
 
 from .errors import ConvergenceError
 
@@ -44,6 +50,24 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+
+@cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@cache
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite rule for the standard normal weight: E[f(Z)] is
+    approximated by ``w @ f(z)``, with the weights summing to 1."""
+    x, w = roots_hermite(order)
+    z, w = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 def quad1d(

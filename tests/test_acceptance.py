@@ -38,7 +38,6 @@ from bivnorm import (
     measure_closed_form,
     measure_invert,
     measure_numeric,
-    phi2_auto,
     phi2_cdf,
     quad2d_phi2,
     reduce_to_halflines,
@@ -94,7 +93,7 @@ def test_criterion_03_oracle_agreement():
     for _ in range(500):
         h, k = rng.uniform(-3.5, 3.5, 2)
         rho = rng.uniform(-0.95, 0.95)
-        worst = max(worst, abs(phi2_auto(h, k, rho) - quad2d_phi2(h, k, rho, cfg)))
+        worst = max(worst, abs(phi2_cdf(h, k, rho) - quad2d_phi2(h, k, rho, cfg)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 120.0
     _report(3, ok, "auto engine vs 2-D quadrature oracle on 500 random points",
@@ -295,7 +294,7 @@ def test_criterion_15_series_truncation():
         for h in grid:
             for k in grid:
                 a = phi2_cdf(h, k, rho, M.TETRACHORIC, cfg)
-                b = phi2_auto(h, k, rho)
+                b = phi2_cdf(h, k, rho)
                 worst = max(worst, abs(a - b))
     ok = worst <= 1e-10
     _report(15, ok, "60-term series matches the auto engine for |rho| <= 0.5",

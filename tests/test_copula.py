@@ -63,6 +63,18 @@ class TestCdf:
         assert copula_cdf(0.7, 0.6, -1.0) == pytest.approx(0.3, abs=1e-15)
         assert copula_cdf(0.3, 0.6, 0.0) == pytest.approx(0.18, abs=1e-16)
 
+    def test_array_call_keeps_exact_masks(self):
+        u = np.array([0.0, 0.4, 1.0, 0.3, 0.7, 0.3, 0.3, 0.2])
+        v = np.array([0.4, 1.0, 0.4, 0.6, 0.6, 0.6, 0.7, 0.9])
+        rho = np.array([0.7, -0.7, 0.0, -1.0, -1.0, 0.0, 1.0, -0.95])
+        got = copula_cdf(u, v, rho)
+        expected = [copula_cdf(*p) for p in zip(u.tolist(), v.tolist(), rho.tolist())]
+        assert np.array_equal(got, expected)
+        assert got[:7].tolist() == [0.0, 0.4, 0.4, 0.0, 0.7 + 0.6 - 1.0, 0.3 * 0.6, 0.3]
+        assert copula_cdf(u[:, None], v[None, :], 0.5).shape == (8, 8)
+        with pytest.raises(DomainError):
+            copula_cdf([0.5, np.nan], 0.5, 0.5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             copula_cdf(1.5, 0.5, 0.5)
@@ -257,6 +269,13 @@ class TestDiagCdf:
         cfg = QuadratureConfig(abs_tol=1e-12)
         val = 2 * quad1d(lambda t: diag_g(t, 0.8), 0.0, 0.25, cfg)
         assert diag_cdf(0.25, 0.8) == pytest.approx(val, abs=1e-11)
+
+    def test_broadcasts_rho(self):
+        got = diag_cdf(np.array([[0.25], [0.5]]), np.array([0.8, 0.0, -1.0]))
+        assert got.shape == (2, 3)
+        for i, u in enumerate((0.25, 0.5)):
+            for j, rho in enumerate((0.8, 0.0, -1.0)):
+                assert got[i, j] == diag_cdf(u, rho)
 
     def test_rho_boundaries(self):
         assert diag_cdf(0.3, 1.0) == pytest.approx(0.3, abs=1e-15)

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError
-from .copula import diag_cdf
-from .gauss import norm_cdf, norm_pdf, norm_quantile
+from .copula import _lam, _slope, diag_cdf
+from .gauss import norm_cdf, norm_pdf, norm_quantile, _maybe_scalar
 
 __all__ = [
     "DiagBoundKind",
@@ -71,6 +71,7 @@ _LOWER_KINDS = {DiagBoundKind.LOWER_THM1, DiagBoundKind.LOWER_THM2}
 
 
 def _validate_wedge(u, rho, u_open_zero: bool = False):
+    """(u, rho) as float arrays, and whether both came in as scalars."""
     u_arr = np.asarray(u, dtype=float)
     r_arr = np.asarray(rho, dtype=float)
     lo_ok = (u_arr > 0.0) if u_open_zero else (u_arr >= 0.0)
@@ -79,34 +80,15 @@ def _validate_wedge(u, rho, u_open_zero: bool = False):
         raise DomainError(f"u must lie in {lo}, 1/2], got {u!r}")
     if np.any(r_arr < 0.0) or np.any(r_arr > 1.0) or np.any(np.isnan(r_arr)):
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
-    return u_arr, r_arr
-
-
-def _g(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # Diagonal slope with the boundary limits folded in; valid for rho = 1
-    # (the scans need it), where the interior value is 1/2.
-    u_b, r_b = np.broadcast_arrays(u, rho)
-    out = np.where(u_b <= 0.0, 0.0, np.where(u_b >= 1.0, 1.0, 0.5))
-    interior = (u_b > 0.0) & (u_b < 1.0)
-    if np.any(interior):
-        lam = np.sqrt((1.0 - r_b[interior]) / (1.0 + r_b[interior]))
-        out = np.array(out, dtype=float)
-        out[interior] = norm_cdf(lam * norm_quantile(u_b[interior]))
-    return out
-
-
-def _scalar_like(value: np.ndarray, *inputs) -> float | np.ndarray:
-    if all(np.ndim(x) == 0 for x in inputs):
-        return float(value)
-    return value
+    return u_arr, r_arr, u_arr.ndim == 0 and r_arr.ndim == 0
 
 
 def diag_bound(kind: DiagBoundKind, u, rho):
     """Evaluate one of the diagonal bounds on the wedge; vectorized."""
     if not isinstance(kind, DiagBoundKind):
         kind = DiagBoundKind(kind)
-    u_arr, r_arr = _validate_wedge(u, rho)
-    g = _g(u_arr, r_arr)
+    u_arr, r_arr, scalar = _validate_wedge(u, rho)
+    g = _slope(u_arr, r_arr)
     if kind is DiagBoundKind.LOWER_THM1:
         out = u_arr * g
     elif kind is DiagBoundKind.UPPER_THM1:
@@ -116,45 +98,41 @@ def diag_bound(kind: DiagBoundKind, u, rho):
     elif kind is DiagBoundKind.UPPER_THM2:
         out = u_arr * g * (1.0 + r_arr)
     else:  # UPPER_THM3
-        out = 2.0 * u_arr * _g(np.asarray(u_arr) / 2.0, r_arr)
-    return _scalar_like(np.asarray(out), u, rho)
+        out = 2.0 * u_arr * _slope(u_arr / 2.0, r_arr)
+    return _maybe_scalar(out, scalar)
 
 
 def diag_approx(kind: DiagApproxKind, u, rho):
     """Evaluate one of the named diagonal approximations; vectorized."""
     if not isinstance(kind, DiagApproxKind):
         kind = DiagApproxKind(kind)
-    u_arr, r_arr = _validate_wedge(u, rho, u_open_zero=True)
+    u_arr, r_arr, scalar = _validate_wedge(u, rho, u_open_zero=True)
     u_b, r_b = np.broadcast_arrays(u_arr, r_arr)
-    u_b = np.asarray(u_b, dtype=float)
-    r_b = np.asarray(r_b, dtype=float)
 
     if kind in (DiagApproxKind.MEYER_TIGHT, DiagApproxKind.MEYER_REFINED):
-        g = _g(u_b, r_b)
+        g = _slope(u_b, r_b)
         asin = np.arcsin(r_b)
         if kind is DiagApproxKind.MEYER_TIGHT:
             factor = 1.0 + r_b + ((4.0 / np.pi) * asin - 2.0 * r_b) * u_b
         else:
             factor = 1.0 + asin / np.pi + 0.5 * r_b + ((2.0 / np.pi) * asin - r_b) * u_b
-        return _scalar_like(u_b * g * factor, u, rho)
+        return _maybe_scalar(u_b * g * factor, scalar)
 
     x = norm_quantile(u_b)
     if kind is DiagApproxKind.MALLOWS:
-        lam = np.sqrt((1.0 - r_b) / (1.0 + r_b))
         shift = norm_quantile(u_b / 2.0 + 0.25) - norm_quantile(0.75)
-        return _scalar_like(2.0 * u_b * norm_cdf(lam * shift), u, rho)
+        return _maybe_scalar(2.0 * u_b * norm_cdf(_lam(r_b) * shift), scalar)
 
     pdf_x = norm_pdf(x)
     num = u_b * x + r_b * pdf_x
     if kind is DiagApproxKind.COX_WERMUTH:
-        lam = np.sqrt((1.0 - r_b) / (1.0 + r_b))
-        return _scalar_like(u_b * norm_cdf(lam * num / ((1.0 + r_b) * u_b)), u, rho)
+        return _maybe_scalar(u_b * norm_cdf(_lam(r_b) * num / ((1.0 + r_b) * u_b)), scalar)
 
     # MEE_OWEN: normal approximation matching the first two conditional moments.
     rad = u_b * u_b - r_b * r_b * pdf_x * (u_b * x + pdf_x)
     if np.any(rad <= 0.0):
         raise DomainError("conditional-moment approximation undefined here (radicand <= 0)")
-    return _scalar_like(u_b * norm_cdf(num / np.sqrt(rad)), u, rho)
+    return _maybe_scalar(u_b * norm_cdf(num / np.sqrt(rad)), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +272,6 @@ def upper_thm3_stationary_rho() -> float:
     q = norm_quantile(0.25)
 
     def f(rho: float) -> float:
-        lam = np.sqrt((1.0 - rho) / (1.0 + rho))
-        return norm_pdf(lam * q) + (1.0 + rho) / (2.0 * np.pi * q)
+        return norm_pdf(_lam(rho) * q) + (1.0 + rho) / (2.0 * np.pi * q)
 
     return float(brentq(f, 1e-6, 1.0 - 1e-9, xtol=1e-13))

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 from .engines import DEFAULT_CONFIG, Phi2Method, phi2_cdf, validate_rho
-from .gauss import norm_cdf, norm_quantile, _as_float_array, _maybe_scalar
+from .gauss import norm_cdf, norm_quantile, _as_float_array, _maybe_scalar, _validate_unit
 from .owen import owen_t
-from .quadrature import QuadratureConfig, gauss_hermite, quad1d
+from .quadrature import QuadratureConfig, _enforce, gauss_hermite, quad1d
 
 __all__ = [
     "SymmetryKind",
@@ -42,16 +42,6 @@ __all__ = [
     "copula_single_factor",
     "copula_cond_integral",
 ]
-
-_TWO_PI = 2.0 * np.pi
-
-
-def _validate_unit(x, name: str):
-    arr, scalar = _as_float_array(x)
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails this too
-        raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
-    return arr, scalar
-
 
 def copula_cdf(
     u,
@@ -182,6 +172,18 @@ def _lam(rho):
         return np.sqrt((1.0 - rho) / (1.0 + rho))
 
 
+def _slope(u, rho) -> np.ndarray:
+    # g(u; rho) for u in [0, 1] and rho in (-1, 1], broadcast. u = 0 and 1
+    # pass through as the limits; at rho = 1 the interior value is 1/2,
+    # which the bound scans need.
+    u_b, r_b = np.broadcast_arrays(u, rho)
+    out = np.array(u_b, dtype=float)
+    interior = (u_b > 0.0) & (u_b < 1.0)
+    if interior.any():
+        out[interior] = norm_cdf(_lam(r_b[interior]) * norm_quantile(u_b[interior]))
+    return out
+
+
 def diag_g(u, rho):
     """g(u; rho) = Phi(sqrt((1-rho)/(1+rho)) PhiInv(u)).
 
@@ -189,18 +191,13 @@ def diag_g(u, rho):
     of the diagonal section u -> C(u, u; rho). Satisfies g(1/2) = 1/2,
     g(1-u) = 1 - g(u), and g(g(u; rho); -rho) = u. The endpoint limits are
     0 and 1 (no tail dependence). |rho| = 1 with interior u is rejected.
+    u and rho broadcast.
     """
-    r = validate_rho(rho)
-    u_arr, scalar = _validate_unit(u, "u")
-    interior = (u_arr > 0.0) & (u_arr < 1.0)
-    if abs(r) == 1.0 and np.any(interior):
+    r_arr, r_scalar = _as_float_array(validate_rho(rho))
+    u_arr, u_scalar = _validate_unit(u, "u")
+    if np.any((u_arr > 0.0) & (u_arr < 1.0) & (np.abs(r_arr) == 1.0)):
         raise DomainError("diag_g is not defined at |rho| = 1 for interior u")
-    lam = _lam(r)
-    out = np.empty_like(u_arr)
-    out[~interior] = u_arr[~interior]
-    if np.any(interior):
-        out[interior] = norm_cdf(lam * norm_quantile(u_arr[interior]))
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(_slope(u_arr, r_arr), u_scalar and r_scalar)
 
 
 def diag_cdf(u, rho):
@@ -220,22 +217,23 @@ def diag_cdf(u, rho):
     return _maybe_scalar(np.clip(out, 0.0, 1.0), u_scalar and r_scalar)
 
 
-def halfline_cdf(u, rho) -> float:
+def halfline_cdf(u, rho):
     """Half-line section C(u, 1/2; rho) = u/2 - T(PhiInv(u), -rho/sqrt(1-rho^2)).
 
-    Vectorized over u; the slope degenerates to -+inf at rho = +-1, which the
-    T-function absorbs as its one-sided limit.
+    u and rho broadcast; the slope degenerates to -+inf at rho = +-1, which
+    the T-function absorbs as its one-sided limit.
     """
-    r = validate_rho(rho)
-    u_arr, scalar = _validate_unit(u, "u")
-    out = np.zeros_like(u_arr)
-    out[u_arr == 1.0] = 0.5
-    interior = (u_arr > 0.0) & (u_arr < 1.0)
+    r_arr, r_scalar = _as_float_array(validate_rho(rho))
+    u_arr, u_scalar = _validate_unit(u, "u")
+    u_b, r_b = np.broadcast_arrays(u_arr, r_arr)
+    out = np.where(u_b == 1.0, 0.5, 0.0)
+    interior = (u_b > 0.0) & (u_b < 1.0)
     if np.any(interior):
-        slope = -r / np.sqrt(1.0 - r * r) if abs(r) != 1.0 else -r * np.inf
-        ui = u_arr[interior]
+        ui, ri = u_b[interior], r_b[interior]
+        with np.errstate(divide="ignore"):
+            slope = -ri / np.sqrt(1.0 - ri * ri)
         out[interior] = 0.5 * ui - owen_t(norm_quantile(ui), slope)
-    return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
+    return _maybe_scalar(np.clip(out, 0.0, 1.0), u_scalar and r_scalar)
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,7 @@ def copula_factor_integral(
     lo, hi = _factor_orders(alpha, beta, gamma)
     coarse = _factor_integral_fixed(h, k, alpha, beta, gamma, lo)
     fine = _factor_integral_fixed(h, k, alpha, beta, gamma, hi)
-    _check_two_level(coarse, fine, cfg, "factor integral")
+    _enforce(abs(fine - coarse), fine, cfg, "factor integral")
     return float(np.clip(fine, 0.0, 1.0))
 
 
@@ -386,7 +384,7 @@ def copula_single_factor(
     for order in (lo, hi):
         z, w = gauss_hermite(order)
         vals.append(float(np.dot(w, norm_cdf((h - alpha * z) / sa) * norm_cdf((k - beta * z) / sb))))
-    _check_two_level(vals[0], vals[1], cfg, "single-factor integral")
+    _enforce(abs(vals[1] - vals[0]), vals[1], cfg, "single-factor integral")
     return float(np.clip(vals[1], 0.0, 1.0))
 
 
@@ -414,14 +412,3 @@ def copula_cond_integral(
     if v == 0.0:
         return 0.0
     return quad1d(lambda t: cond_cdf_given_v(u, t, r), 0.0, v, cfg)
-
-
-def _check_two_level(coarse: float, fine: float, cfg: QuadratureConfig, what: str) -> None:
-    from .errors import ConvergenceError
-
-    diff = abs(fine - coarse)
-    if diff > cfg.abs_tol and diff > cfg.rel_tol * abs(fine):
-        raise ConvergenceError(
-            f"{what} did not converge: resolutions differ by {diff:.3e}",
-            estimate=diff,
-        )

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .engines import DEFAULT_CONFIG, Phi2Method, QuadratureConfig, phi2_cdf
 from .copula import copula_cdf, diag_cdf
-from .gauss import norm_cdf, norm_pdf, norm_quantile, _as_float_array, _maybe_scalar
+from .gauss import norm_cdf, norm_pdf, norm_quantile, _as_float_array, _maybe_scalar, _validate_unit
 
 __all__ = ["SkewNormal", "Vasicek"]
 
@@ -83,9 +83,7 @@ class Vasicek:
 
     def cdf(self, q) -> float:
         """P(P <= q) = Phi((sqrt(1-rho) PhiInv(q) - PhiInv(p)) / sqrt(rho))."""
-        arr, scalar = _as_float_array(q)
-        if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
-            raise DomainError(f"q must lie in [0, 1], got {q!r}")
+        arr, scalar = _validate_unit(q, "q")
         out = norm_cdf(
             (np.sqrt(1.0 - self.rho) * norm_quantile(arr) - norm_quantile(self.p))
             / np.sqrt(self.rho)
@@ -94,9 +92,7 @@ class Vasicek:
 
     def quantile(self, alpha) -> float:
         """q_alpha = Phi((sqrt(rho) PhiInv(alpha) + PhiInv(p)) / sqrt(1-rho))."""
-        arr, scalar = _as_float_array(alpha)
-        if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
-            raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+        arr, scalar = _validate_unit(alpha, "alpha")
         out = norm_cdf(
             (np.sqrt(self.rho) * norm_quantile(arr) + norm_quantile(self.p))
             / np.sqrt(1.0 - self.rho)

@@ -5,7 +5,7 @@
 one fixed 20-node Gauss-Legendre rule, in asin(rho) for |rho| < 0.925 and on
 the remainder of the expansion about rho = +-1 beyond (reflecting k -> -k for
 rho < 0). Its error floor :data:`AUTO_ERROR_FLOOR` is fixed; a ``cfg`` asking
-for less (under :func:`quad1d`'s abs-or-rel rule) raises ConvergenceError.
+for less (under the package's abs-or-rel rule) raises ConvergenceError.
 
 Five reference engines, selectable through :class:`Phi2Method`, honour
 ``cfg`` and run point by point:
@@ -38,7 +38,9 @@ from scipy.special import log_ndtr
 from .errors import ConvergenceError, DomainError, EngineRejected
 from .gauss import norm_cdf, norm_pdf, _as_float_array, _maybe_scalar
 from .owen import owen_t
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, gauss_hermite, gauss_legendre, quad1d
+from .quadrature import (
+    DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_hermite, gauss_legendre, quad1d,
+)
 
 __all__ = [
     "Phi2Method",
@@ -184,7 +186,18 @@ def _plackett_from_max(h: float, k: float, rho: float, cfg: QuadratureConfig) ->
             expo = -(diff2 + hk2 * omr) / (2.0 * omr * (2.0 - omr))
             return coef * float(np.exp(expo)) / np.sqrt(2.0 - omr)
 
-    return min(norm_cdf(h), norm_cdf(k)) - quad1d(integrand, 0.0, 1.0, cfg)
+    # For h != k the integrand climbs from 0 to its plateau around
+    # s0 = |h-k|/sqrt(1-rho), nearing it like 1 - s0^2/(4 s^2); the adaptive
+    # rule misses that when s0 is small, so it runs over the pieces between
+    # s0 16^j. Below s = 1e-16 the climb holds no visible mass.
+    edges = [0.0]
+    s0 = max(abs(h - k) / np.sqrt(one_m_rho), 1e-16) if h != k else 1.0
+    while s0 < 1.0:
+        edges.append(s0)
+        s0 *= 16.0
+    edges.append(1.0)
+    pieces = sum(quad1d(integrand, a, b, cfg) for a, b in zip(edges, edges[1:]))
+    return min(norm_cdf(h), norm_cdf(k)) - pieces
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +368,7 @@ def phi2_cdf(
         hi, ki, ri = h_b[inner], k_b[inner], r_b[inner]
         if method is Phi2Method.AUTO:
             value = _genz(hi, ki, ri)
-            # quad1d's rule: fail where the floor misses both tolerances.
-            if cfg.abs_tol < AUTO_ERROR_FLOOR and np.any(
-                AUTO_ERROR_FLOOR > cfg.rel_tol * np.abs(value)
-            ):
-                raise ConvergenceError(
-                    f"auto's error floor {AUTO_ERROR_FLOOR:.0e} misses the requested tolerance",
-                    estimate=AUTO_ERROR_FLOOR,
-                )
+            _enforce(AUTO_ERROR_FLOOR, value, cfg, "the auto kernel")
         else:
             engine = _ENGINES[method]
             value = np.array([engine(*p, cfg) for p in zip(hi.tolist(), ki.tolist(), ri.tolist())])

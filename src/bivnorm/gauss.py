@@ -42,6 +42,13 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _validate_unit(x, name: str) -> tuple[np.ndarray, bool]:
+    arr, scalar = _as_float_array(x)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails this too
+        raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
+    return arr, scalar
+
+
 def norm_pdf(x):
     """Standard normal density phi(x) = exp(-x^2/2) / sqrt(2 pi)."""
     arr, scalar = _as_float_array(x)
@@ -68,9 +75,7 @@ def norm_quantile(p):
     ``norm_cdf(norm_quantile(p)) == p`` to ~1e-15 independently of the
     starting approximation.
     """
-    arr, scalar = _as_float_array(p)
-    if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
-        raise DomainError(f"quantile level must lie in [0, 1], got {p!r}")
+    arr, scalar = _validate_unit(p, "quantile level")
     x = special.ndtri(arr)
     with np.errstate(invalid="ignore", divide="ignore"):
         pdf = norm_pdf(x)
@@ -102,7 +107,9 @@ def mills_ratio(x):
     out = np.empty_like(arr)
     if np.any(small):
         xs = arr[small]
-        out[small] = special.ndtr(-xs) / norm_pdf(xs)
+        # phi underflows to 0 below x ~ -38.6, where R is +inf.
+        with np.errstate(divide="ignore"):
+            out[small] = special.ndtr(-xs) / norm_pdf(xs)
     if np.any(~small):
         out[~small] = _mills_continued_fraction(arr[~small])
     return _maybe_scalar(out, scalar)

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 from .engines import DEFAULT_CONFIG, phi2_density, validate_rho
-from .gauss import norm_cdf, norm_quantile
+from .gauss import norm_cdf, norm_quantile, _validate_unit
 from .quadrature import QuadratureConfig
 
 __all__ = [
@@ -104,9 +104,7 @@ class FactorModel:
         if not -1.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (-1, 1), got {self.gamma!r}")
         for name in ("u", "v"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {val!r}")
+            _validate_unit(getattr(self, name), name)
 
     @property
     def rho(self) -> float:

@@ -1,12 +1,12 @@
-"""1-D quadrature: adaptive integration, fixed node rules, and the shared
-tolerance configuration.
+"""1-D quadrature: adaptive integration, fixed node rules, the shared
+tolerance configuration and the rule that holds results to it.
 
-Every adaptive integral in the package (the correlation-path engines, the
-diagonal integral, the concordance checks, the distribution moments) runs
-through :func:`quad1d`, a thin contract-enforcing wrapper around the adaptive
-Gauss-Kronrod integrator in :mod:`scipy.integrate`. Every fixed rule reads
-its nodes from :func:`gauss_legendre` or :func:`gauss_hermite`, which
-compute each order once and share it read-only with all callers.
+:func:`quad1d` wraps the adaptive Gauss-Kronrod integrator of
+:mod:`scipy.integrate` for integrands that take one scalar at a time (the
+correlation-path engines, the conditional-CDF integral). Fixed rules read
+their nodes from :func:`gauss_legendre` or :func:`gauss_hermite`, which
+compute each order once and share it read-only, and are certified by
+comparing two orders. :func:`_enforce` judges every error estimate.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ class QuadratureConfig:
     """Tolerances and budgets for the numeric integrals.
 
     abs_tol / rel_tol:
-        Target absolute and relative error for adaptive quadrature. A result
-        whose error estimate exceeds ``abs_tol`` raises ConvergenceError.
+        Target absolute and relative error of the integrals. A result whose
+        error estimate misses both ``abs_tol`` and ``rel_tol`` times its
+        magnitude raises ConvergenceError.
     max_subdivisions:
         Interval-splitting budget of the adaptive integrator.
     series_max_terms:
@@ -81,7 +82,7 @@ def quad1d(
     The integrand must be finite on the open interval; integrable endpoint
     singularities are handled by the underlying subdivision. Raises
     ConvergenceError (carrying the achieved estimate) when the error estimate
-    does not reach ``cfg.abs_tol``.
+    misses both tolerances of ``cfg``.
     """
     if a == b:
         return 0.0
@@ -97,10 +98,17 @@ def quad1d(
         full_output=1,
     )
     value, abserr = out[0], out[1]
-    if abserr > cfg.abs_tol and abserr > cfg.rel_tol * abs(value):
-        raise ConvergenceError(
-            f"quadrature on [{a}, {b}] reached error estimate {abserr:.3e} "
-            f"(target {cfg.abs_tol:.3e})",
-            estimate=abserr,
-        )
+    _enforce(abserr, value, cfg, f"quadrature on [{a}, {b}]")
     return value
+
+
+def _enforce(estimate, value, cfg: QuadratureConfig, what: str) -> None:
+    """Raise ConvergenceError where the error estimate misses both
+    ``cfg.abs_tol`` and ``cfg.rel_tol * |value|``; arrays broadcast, and the
+    error carries the largest estimate."""
+    if np.any((estimate > cfg.abs_tol) & (estimate > cfg.rel_tol * np.abs(value))):
+        worst = float(np.max(estimate))
+        raise ConvergenceError(
+            f"{what} reached error estimate {worst:.3e} (target {cfg.abs_tol:.3e})",
+            estimate=worst,
+        )

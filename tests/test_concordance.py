@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bivnorm import (
+    ConvergenceError,
     DomainError,
     Measure,
+    QuadratureConfig,
     diag_integral,
     diag_integral_closed,
     diag_integral_closed_alt,
@@ -89,6 +91,17 @@ class TestNumericCrossChecks:
         numeric = measure_numeric(measure, rho).value
         assert numeric == pytest.approx(closed, abs=1e-6)
 
+    @pytest.mark.parametrize("measure", [Measure.GINI_GAMMA, Measure.GAMMA_TILDE])
+    def test_moment_integral_measures_to_1e12(self, measure):
+        for rho in np.linspace(-0.99, 0.99, 45):
+            closed = measure_closed_form(measure, rho).value
+            assert abs(measure_numeric(measure, rho).value - closed) <= 1e-12
+
+    def test_unreachable_tolerance_raises(self):
+        tight = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
+        with pytest.raises(ConvergenceError):
+            measure_numeric("gini_gamma", 0.5, tight)
+
     def test_kendall_at_zero(self):
         assert abs(measure_numeric(Measure.KENDALL_TAU, 0.0).value) < 1e-8
 
@@ -142,6 +155,14 @@ class TestMomentIntegrals:
         assert halfline_integral(rho) == pytest.approx(
             halfline_integral_closed(rho), abs=1e-8
         )
+
+    def test_fixed_rule_on_dense_grid(self):
+        # Steps of 0.005 in rho, plus rho = +-(1 - 1e-8), where the sections
+        # nearly have their kink at u = 1/2.
+        rhos = np.concatenate((np.linspace(-1.0, 1.0, 401), [-1.0 + 1e-8, 1.0 - 1e-8]))
+        for rho in rhos:
+            assert abs(diag_integral(rho) - diag_integral_closed(rho)) <= 1e-12
+            assert abs(halfline_integral(rho) - halfline_integral_closed(rho)) <= 1e-12
 
     def test_alternative_diag_identity(self):
         for rho in np.linspace(-1, 1, 41):

@@ -214,6 +214,15 @@ class TestDiagG:
         with pytest.raises(DomainError):
             diag_g(0.3, 1.0)
         assert diag_g(0.0, 1.0) == 0.0  # boundary u passes through as a limit
+        with pytest.raises(DomainError):
+            diag_g(0.3, np.array([0.5, -1.0]))
+        assert diag_g(np.array([0.0, 1.0]), np.array([1.0, -1.0])).tolist() == [0.0, 1.0]
+
+    def test_array_call_equals_scalar_loop(self):
+        u = np.linspace(0.0, 1.0, 23)[:, None]
+        rho = np.linspace(-0.99, 0.99, 17)
+        loop = [[diag_g(a, b) for b in rho.tolist()] for a in u.ravel().tolist()]
+        assert np.array_equal(diag_g(u, rho), np.array(loop))
 
     def test_inverse_law_grid(self):
         # Asserted where the intermediate lands in the lower half: the
@@ -293,6 +302,12 @@ class TestHalfline:
 
     def test_rho_zero(self):
         assert halfline_cdf(0.4, 0.0) == pytest.approx(0.2, abs=1e-15)
+
+    def test_array_call_equals_scalar_loop(self):
+        u = np.linspace(0.0, 1.0, 23)[:, None]
+        rho = np.linspace(-1.0, 1.0, 17)
+        loop = [[halfline_cdf(a, b) for b in rho.tolist()] for a in u.ravel().tolist()]
+        assert np.array_equal(halfline_cdf(u, rho), np.array(loop))
 
     def test_rho_boundaries(self):
         assert halfline_cdf(0.3, 1.0) == pytest.approx(0.3, abs=1e-15)

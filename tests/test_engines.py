@@ -308,6 +308,13 @@ class TestRegressionInputs:
         got = phi2_cdf(-0.9994036109355074, -0.9994063187420841, 0.8254279688397536)
         assert abs(got - 0.10174854399809230371) <= 1e-14
 
+    def test_plackett_from_max_close_arguments(self):
+        # h and k 2.7e-6 apart: the integrand's climb near s = 0 is that
+        # narrow, and one adaptive pass over [0, 1] missed it by 3.3e-7.
+        got = phi2_cdf(-0.9994036109355074, -0.9994063187420841, 0.8254279688397536,
+                       "plackett_from_max")
+        assert abs(got - 0.10174854399809230371) <= 1e-12
+
     def test_copula_lower_tail_near_rho_089(self):
         got = copula_cdf(0.0016355603504203114, 0.8689240132225767, -0.8912792249381268)
         assert abs(got - 2.3889150017052491132e-7) <= 1e-14

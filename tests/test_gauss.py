@@ -6,6 +6,7 @@ the explicit alternating sum for the Hermite polynomials.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,14 @@ class TestMillsRatio:
         # continued-fraction branch (used at x = 6) vs the direct formula
         direct = norm_cdf(-6.0) / norm_pdf(6.0)
         assert mills_ratio(6.0) == pytest.approx(direct, rel=1e-13)
+
+    def test_underflowed_density_is_silent(self):
+        # phi(-40) underflows to 0: R = +inf and h = -inf, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mills_ratio(-40.0) == np.inf
+            assert h_function(-40.0) == -np.inf
+            assert mills_ratio(np.array([-40.0, 0.0]))[0] == np.inf
 
     def test_h_at_zero(self):
         assert h_function(0.0) == 0.0

@@ -62,6 +62,6 @@ from bivnorm import ConvergenceError
 
 try:
     phi2_cdf(0.3, -0.4, 0.6, M.PLACKETT_FROM_INDEPENDENCE,
-             QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2))
+             QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
 except ConvergenceError as exc:
     print(f"starved quadrature -> {exc}")

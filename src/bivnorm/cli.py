@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, EngineRejected
 from .quadrature import QuadratureConfig
 from .engines import Phi2Method, phi2_cdf
-from .gauss import norm_quantile
+from .gauss import norm_cdf, norm_quantile
 from .owen import owen_t
 from .copula import (
     cond_cdf_given_u,
@@ -198,8 +198,6 @@ def _mc_point(h: float, k: float, rho: float, n_paths: int, seed: int):
     # Route the point through the factor-model sampler: split rho into
     # loadings alpha beta = rho / 0.99 against factor correlation 0.99
     # (plain half loadings at independence).
-    from .gauss import norm_cdf
-
     if rho == 0.0:
         model = FactorModel(0.5, 0.5, 0.0, float(norm_cdf(h)), float(norm_cdf(k)))
     else:

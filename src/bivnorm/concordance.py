@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .engines import DEFAULT_CONFIG, phi2_owen, validate_rho
+from .engines import phi2_owen, validate_rho
 from .copula import copula_cdf, diag_cdf, halfline_cdf
 from .gauss import norm_cdf, norm_quantile
-from .quadrature import QuadratureConfig, _enforce, gauss_legendre
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_legendre
 
 __all__ = [
     "Measure",
@@ -79,7 +79,7 @@ def measure_closed_form(measure, rho: float) -> MeasureValue:
     elif m is Measure.SPEARMAN_RHO:
         value = (6.0 / np.pi) * np.arcsin(0.5 * r)
     elif m is Measure.GINI_GAMMA:
-        value = gini_forms(r)[0]
+        value = gini_forms(r)[1]
     else:  # GAMMA_TILDE
         value = (4.0 / np.pi) * np.arcsin(r / np.sqrt(2.0))
     return MeasureValue(m, float(value), r)
@@ -87,7 +87,9 @@ def measure_closed_form(measure, rho: float) -> MeasureValue:
 
 def gini_forms(rho: float) -> tuple[float, float, float]:
     """Gini's gamma in its three equivalent arcsine forms (they agree to
-    ~1e-15; keeping all three exercises the arcsine addition identity)."""
+    ~1e-15 for |rho| <= 0.99; keeping all three exercises the arcsine
+    addition identity). Near |rho| = 1 the first magnifies the rounding of
+    1 +- rho (3.5e-11 at 1 - 1e-12), so measure_closed_form uses the second."""
     r = validate_rho(rho)
     f1 = (2.0 / np.pi) * (np.arcsin(0.5 * (1.0 + r)) - np.arcsin(0.5 * (1.0 - r)))
     f2 = (4.0 / np.pi) * (
@@ -214,9 +216,11 @@ def halfline_integral(rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> flo
 
 
 def diag_integral_closed(rho: float) -> float:
-    """int_0^1 C(u, u; rho) du = 1/4 + asin((1+rho)/2) / (2 pi)."""
+    """int_0^1 C(u, u; rho) du = 1/4 + asin((1+rho)/2) / (2 pi), with the
+    arcsine as atan2(1 + rho, sqrt((1 - rho)(3 + rho))) to keep its digits
+    near rho = 1."""
     r = validate_rho(rho)
-    return 0.25 + np.arcsin(0.5 * (1.0 + r)) / (2.0 * np.pi)
+    return 0.25 + np.arctan2(1.0 + r, np.sqrt((1.0 - r) * (3.0 + r))) / (2.0 * np.pi)
 
 
 def diag_integral_closed_alt(rho: float) -> float:

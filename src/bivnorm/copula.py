@@ -4,24 +4,22 @@ C(u, v; rho) = Phi2(PhiInv(u), PhiInv(v); rho) together with its density,
 conditionals, symmetry group, the diagonal slope function g, and the
 reduction identities that relate general points, the half-line v = 1/2 and
 the diagonal u = v to each other.
-
-Boundary policy: arguments at 0 or 1 and correlations at -1, 0, 1 are
-resolved to their exact closed forms before any quantile transform, so the
-numerical engines only ever see interior parameters.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError
-from .engines import DEFAULT_CONFIG, Phi2Method, phi2_cdf, validate_rho
+from .engines import Phi2Method, _one_factor, _phi2, validate_rho
 from .gauss import norm_cdf, norm_quantile, _as_float_array, _maybe_scalar, _validate_unit
 from .owen import owen_t
-from .quadrature import QuadratureConfig, _enforce, gauss_hermite, quad1d
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_hermite, quad1d
 
 __all__ = [
     "SymmetryKind",
@@ -57,21 +55,12 @@ def copula_cdf(
     """
     uu, u_scalar = _validate_unit(u, "u")
     vv, v_scalar = _validate_unit(v, "v")
-    r = validate_rho(rho)
-    u_b, v_b, r_b = np.broadcast_arrays(uu, vv, np.asarray(r))
-    out = np.where(r_b > 0.0, np.minimum(u_b, v_b), np.maximum(u_b + v_b - 1.0, 0.0))
-    out = np.where(r_b == 0.0, u_b * v_b, out)
-    out = np.where(u_b == 1.0, v_b, np.where(v_b == 1.0, u_b, out))
-    out = np.where((u_b == 0.0) | (v_b == 0.0), 0.0, out)
-
-    inner = (u_b > 0.0) & (u_b < 1.0) & (v_b > 0.0) & (v_b < 1.0)
-    inner &= (np.abs(r_b) < 1.0) & (r_b != 0.0)
-    if inner.any():
-        # One quantile call for both arguments halves its per-call overhead.
-        # A scalar rho goes on as a float, which perfbench/spans.py expects.
-        h, k = norm_quantile(np.stack([u_b[inner], v_b[inner]]))
-        out[inner] = phi2_cdf(h, k, r if np.ndim(r) == 0 else r_b[inner], method, cfg)
-    return _maybe_scalar(out, u_scalar and v_scalar and np.ndim(r) == 0)
+    r, r_scalar = _as_float_array(validate_rho(rho))
+    # One quantile call for both arguments halves its per-call overhead; 0
+    # and 1 map to -+inf, which _phi2 resolves to the exact margins.
+    h, k = norm_quantile(np.stack(np.broadcast_arrays(uu, vv)))
+    out = _phi2(h, k, uu, vv, r, Phi2Method(method), cfg)
+    return _maybe_scalar(out, u_scalar and v_scalar and r_scalar)
 
 
 def copula_density(u, v, rho):
@@ -82,10 +71,8 @@ def copula_density(u, v, rho):
     with x, y the normal quantiles of u, v.
     """
     r = validate_rho(rho, interior=True)
-    u_arr, us = _validate_unit(u, "u")
-    v_arr, vs = _validate_unit(v, "v")
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0) or np.any(v_arr <= 0.0) or np.any(v_arr >= 1.0):
-        raise DomainError("copula_density requires interior u, v")
+    u_arr, us = _validate_unit(u, "u", interior=True)
+    v_arr, vs = _validate_unit(v, "v", interior=True)
     x = norm_quantile(u_arr)
     y = norm_quantile(v_arr)
     omr2 = 1.0 - r * r
@@ -97,10 +84,8 @@ def cond_cdf_given_u(u, v, rho):
     """P(V <= v | U = u) = Phi((PhiInv(v) - rho PhiInv(u)) / sqrt(1-rho^2)),
     the partial derivative of C with respect to u."""
     r = validate_rho(rho, interior=True)
-    u_arr, us = _validate_unit(u, "u")
+    u_arr, us = _validate_unit(u, "u", interior=True)
     v_arr, vs = _validate_unit(v, "v")
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("the conditioning argument must be interior")
     x = norm_quantile(u_arr)
     y = norm_quantile(v_arr)
     out = norm_cdf((y - r * x) / np.sqrt(1.0 - r * r))
@@ -265,8 +250,7 @@ def reduce_to_halflines(u: float, v: float, rho: float) -> HalflineReduction:
     """
     r = validate_rho(rho, interior=True)
     for name, val in (("u", u), ("v", v)):
-        if not 0.0 < val < 1.0:
-            raise DomainError(f"{name} must be interior, got {val!r}")
+        _validate_unit(val, name, interior=True)
         if val == 0.5:
             raise DomainError(f"the half-line split is singular at {name} = 1/2")
     h = norm_quantile(u)
@@ -295,8 +279,7 @@ def diag_g_transform(u: float, rho: float) -> float:
     """C(u, u; rho) via the substitution identity
     2 u g(u; rho) - C(g(u; rho), g(u; rho); -rho)."""
     r = validate_rho(rho, interior=True)
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must be interior, got {u!r}")
+    _validate_unit(u, "u", interior=True)
     g = diag_g(u, r)
     return 2.0 * u * g - diag_cdf(g, -r)
 
@@ -375,17 +358,9 @@ def copula_single_factor(
     _validate_unit(v, "v")
     if u in (0.0, 1.0) or v in (0.0, 1.0):
         return copula_cdf(u, v, alpha * beta)
-    h = norm_quantile(u)
-    k = norm_quantile(v)
-    sa = np.sqrt(1.0 - alpha * alpha)
-    sb = np.sqrt(1.0 - beta * beta)
-    lo, hi = _factor_orders(alpha, beta)
-    vals = []
-    for order in (lo, hi):
-        z, w = gauss_hermite(order)
-        vals.append(float(np.dot(w, norm_cdf((h - alpha * z) / sa) * norm_cdf((k - beta * z) / sb))))
-    _enforce(abs(vals[1] - vals[0]), vals[1], cfg, "single-factor integral")
-    return float(np.clip(vals[1], 0.0, 1.0))
+    value = _one_factor(norm_quantile(u), norm_quantile(v), alpha, beta,
+                        _factor_orders(alpha, beta), cfg, "single-factor integral")
+    return float(np.clip(value, 0.0, 1.0))
 
 
 def copula_cond_integral(
@@ -398,17 +373,21 @@ def copula_cond_integral(
     """C(u, v; rho) as the integral of a conditional CDF.
 
     axis="u" integrates P(V <= v | U = t) over t in [0, u]; axis="v"
-    integrates P(U <= u | V = t) over t in [0, v].
+    integrates P(U <= u | V = t) over t in [0, v], which is the same with
+    u and v swapped. Substituting t = Phi(x) gives
+    int_{-inf}^{PhiInv(u)} phi(x) Phi((PhiInv(v) - rho x)/sqrt(1-rho^2)) dx.
     """
     r = validate_rho(rho, interior=True)
     _validate_unit(u, "u")
     _validate_unit(v, "v")
     if axis not in ("u", "v"):
         raise DomainError(f'axis must be "u" or "v", got {axis!r}')
-    if axis == "u":
-        if u == 0.0:
-            return 0.0
-        return quad1d(lambda t: cond_cdf_given_u(t, v, r), 0.0, u, cfg)
-    if v == 0.0:
+    if axis == "v":
+        u, v = v, u
+    if u == 0.0:
         return 0.0
-    return quad1d(lambda t: cond_cdf_given_v(u, t, r), 0.0, v, cfg)
+    h = norm_quantile(u)
+    k = norm_quantile(v)
+    s = math.sqrt(1.0 - r * r)
+    coef = 1.0 / math.sqrt(2.0 * math.pi)
+    return quad1d(lambda x: coef * math.exp(-0.5 * x * x) * ndtr((k - r * x) / s), -np.inf, h, cfg)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .engines import DEFAULT_CONFIG, Phi2Method, QuadratureConfig, phi2_cdf
+from .engines import Phi2Method, phi2_cdf
 from .copula import copula_cdf, diag_cdf
 from .gauss import norm_cdf, norm_pdf, norm_quantile, _as_float_array, _maybe_scalar, _validate_unit
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = ["SkewNormal", "Vasicek"]
 
@@ -106,9 +107,7 @@ class Vasicek:
     def pdf(self, q) -> float:
         """Density sqrt((1-rho)/rho) phi((sqrt(1-rho) PhiInv(q) - PhiInv(p))
         / sqrt(rho)) / phi(PhiInv(q)) for interior q."""
-        arr, scalar = _as_float_array(q)
-        if np.any((arr <= 0.0) | (arr >= 1.0)) or np.any(np.isnan(arr)):
-            raise DomainError(f"q must lie in (0, 1), got {q!r}")
+        arr, scalar = _validate_unit(q, "q", interior=True)
         x = norm_quantile(arr)
         z = (np.sqrt(1.0 - self.rho) * x - norm_quantile(self.p)) / np.sqrt(self.rho)
         out = np.sqrt((1.0 - self.rho) / self.rho) * norm_pdf(z) / norm_pdf(x)

@@ -42,10 +42,11 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
-def _validate_unit(x, name: str) -> tuple[np.ndarray, bool]:
+def _validate_unit(x, name: str, interior: bool = False) -> tuple[np.ndarray, bool]:
     arr, scalar = _as_float_array(x)
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails this too
-        raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
+    inside = (arr > 0.0) & (arr < 1.0) if interior else (arr >= 0.0) & (arr <= 1.0)
+    if not inside.all():  # NaN fails this too
+        raise DomainError(f"{name} must lie in {'(0, 1)' if interior else '[0, 1]'}, got {x!r}")
     return arr, scalar
 
 
@@ -118,7 +119,9 @@ def mills_ratio(x):
 def h_function(x):
     """x * R(x) with R the Mills ratio: zero at 0, increasing to 1."""
     arr, scalar = _as_float_array(x)
-    return _maybe_scalar(arr * mills_ratio(arr), scalar)
+    with np.errstate(invalid="ignore"):  # inf * R(inf) = inf * 0; the limit is 1
+        out = np.where(arr == np.inf, 1.0, arr * mills_ratio(arr))
+    return _maybe_scalar(out, scalar)
 
 
 def hermite_he(k: int, x):

@@ -8,6 +8,7 @@ factor-model construction is simulated path by path. Tests and the CLI
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,9 +16,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
-from .engines import DEFAULT_CONFIG, phi2_density, validate_rho
+from .engines import validate_rho
 from .gauss import norm_cdf, norm_quantile, _validate_unit
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "FactorModel",
@@ -31,6 +32,9 @@ __all__ = [
 # Truncating the lower integration limits this far below the upper ones (and
 # never above -9) leaves less than 1e-18 of probability mass outside.
 _TAIL_CUT = 9.0
+
+# Paths drawn per block of the Monte Carlo estimators.
+_BLOCK_SIZE = 1 << 19
 
 
 def quad2d_phi2(
@@ -57,11 +61,14 @@ def quad2d_phi2(
     hi_y = min(k, _TAIL_CUT)
     lo_x = min(-_TAIL_CUT, hi_x - _TAIL_CUT)
     lo_y = min(-_TAIL_CUT, hi_y - _TAIL_CUT)
+    omr2 = 1.0 - r * r
+    coef = 1.0 / (2.0 * math.pi * math.sqrt(omr2))
+    inv = 0.5 / omr2
     with warnings.catch_warnings():
         # accuracy is enforced through the returned estimate below
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr = integrate.dblquad(
-            lambda y, x: phi2_density(x, y, r),
+            lambda y, x: coef * math.exp((2.0 * r * x * y - x * x - y * y) * inv),
             lo_x,
             hi_x,
             lo_y,
@@ -117,13 +124,10 @@ class McConfig:
 
     n_paths: int = 1_000_000
     seed: int = 0
-    block_size: int = 1 << 19
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise DomainError("n_paths must be >= 1")
-        if self.block_size < 1:
-            raise DomainError("block_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class McEstimate:
 
 
 def _block_rngs(mc: McConfig) -> list[np.random.Generator]:
-    n_blocks = -(-mc.n_paths // mc.block_size)
+    n_blocks = -(-mc.n_paths // _BLOCK_SIZE)
     # Counter-based bit generator with an independent child seed per block:
     # the estimate does not depend on how blocks are scheduled.
     children = np.random.SeedSequence(mc.seed).spawn(n_blocks)
@@ -156,7 +160,7 @@ def mc_factor_model(model: FactorModel, mc: McConfig = McConfig()) -> McEstimate
     hits = 0
     remaining = mc.n_paths
     for rng in _block_rngs(mc):
-        n = min(mc.block_size, remaining)
+        n = min(_BLOCK_SIZE, remaining)
         remaining -= n
         y = rng.standard_normal(n)
         yt = model.gamma * y + c_g * rng.standard_normal(n)
@@ -179,7 +183,7 @@ def mc_conditional_probability(model: FactorModel, mc: McConfig = McConfig()) ->
     total_sq = 0.0
     remaining = mc.n_paths
     for rng in _block_rngs(mc):
-        n = min(mc.block_size, remaining)
+        n = min(_BLOCK_SIZE, remaining)
         remaining -= n
         p = norm_cdf((t_u - model.alpha * rng.standard_normal(n)) / c_a)
         total += float(np.sum(p))

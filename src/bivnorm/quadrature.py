@@ -21,33 +21,22 @@ from scipy.special import roots_hermite
 
 from .errors import ConvergenceError
 
+# Interval-splitting budget of the adaptive integrator.
+_MAX_SUBDIVISIONS = 200
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the numeric integrals.
-
-    abs_tol / rel_tol:
-        Target absolute and relative error of the integrals. A result whose
-        error estimate misses both ``abs_tol`` and ``rel_tol`` times its
-        magnitude raises ConvergenceError.
-    max_subdivisions:
-        Interval-splitting budget of the adaptive integrator.
-    series_max_terms:
-        Truncation budget for the correlation power series engine.
-    """
+    """Target absolute and relative error of the numeric integrals. A result
+    whose error estimate misses both ``abs_tol`` and ``rel_tol`` times its
+    magnitude raises ConvergenceError."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_subdivisions: int = 200
-    series_max_terms: int = 60
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.series_max_terms < 1:
-            raise ValueError("series_max_terms must be >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -94,7 +83,7 @@ def quad1d(
         b,
         epsabs=cfg.abs_tol / 10.0,
         epsrel=cfg.rel_tol / 10.0,
-        limit=cfg.max_subdivisions,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, abserr = out[0], out[1]
@@ -104,9 +93,9 @@ def quad1d(
 
 def _enforce(estimate, value, cfg: QuadratureConfig, what: str) -> None:
     """Raise ConvergenceError where the error estimate misses both
-    ``cfg.abs_tol`` and ``cfg.rel_tol * |value|``; arrays broadcast, and the
-    error carries the largest estimate."""
-    if np.any((estimate > cfg.abs_tol) & (estimate > cfg.rel_tol * np.abs(value))):
+    ``cfg.abs_tol`` and ``cfg.rel_tol * |value|`` (a NaN estimate misses
+    both); arrays broadcast, and the error carries the largest estimate."""
+    if not np.all((estimate <= cfg.abs_tol) | (estimate <= cfg.rel_tol * np.abs(value))):
         worst = float(np.max(estimate))
         raise ConvergenceError(
             f"{what} reached error estimate {worst:.3e} (target {cfg.abs_tol:.3e})",

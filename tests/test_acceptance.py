@@ -287,7 +287,7 @@ def test_criterion_14_vasicek():
 
 
 def test_criterion_15_series_truncation():
-    cfg = QuadratureConfig(series_max_terms=60)
+    cfg = QuadratureConfig()
     grid = (-3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0)
     worst = 0.0
     for rho in (-0.5, -0.3, -0.05, 0.05, 0.3, 0.5):

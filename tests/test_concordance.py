@@ -164,6 +164,22 @@ class TestMomentIntegrals:
             assert abs(diag_integral(rho) - diag_integral_closed(rho)) <= 1e-12
             assert abs(halfline_integral(rho) - halfline_integral_closed(rho)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "rho, gini, diag",
+        [
+            # mpmath at 40 digits of the closed forms at these doubles
+            (1 - 1e-12, 0.9999993633869509307049, 0.4999998408468173083874),
+            (-(1 - 1e-12), -0.9999993633869509307049, 0.2500000000000795757112),
+            (1 - 1e-8, 0.9999363348394778951543, 0.4999840845056441932466),
+            (-(1 - 1e-8), -0.9999363348394778951543, 0.2500000007957747194581),
+        ],
+    )
+    def test_closed_forms_near_unit_correlation(self, rho, gini, diag):
+        # asin((1 +- rho)/2) magnifies the rounding of 1 +- rho near |rho| = 1.
+        assert abs(measure_closed_form(Measure.GINI_GAMMA, rho).value - gini) <= 1e-15
+        assert abs(diag_integral_closed(rho) - diag) <= 1e-15
+        assert abs(diag_integral_closed_alt(rho) - diag) <= 1e-15
+
     def test_alternative_diag_identity(self):
         for rho in np.linspace(-1, 1, 41):
             assert diag_integral_closed(rho) == pytest.approx(

@@ -389,6 +389,22 @@ class TestFactorIntegrals:
             direct, abs=1e-10
         )
 
+    def test_cond_integral_random_points(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            u, v = rng.uniform(0.0, 1.0, 2)
+            rho = rng.uniform(-0.99, 0.99)
+            direct = copula_cdf(u, v, rho)
+            for axis in ("u", "v"):
+                assert abs(copula_cond_integral(u, v, rho, axis=axis) - direct) <= 1e-13
+
+    def test_cond_integral_boundary(self):
+        for axis in ("u", "v"):
+            assert copula_cond_integral(0.0, 0.4, 0.5, axis=axis) == 0.0
+            assert copula_cond_integral(0.4, 0.0, 0.5, axis=axis) == 0.0
+            assert copula_cond_integral(1.0, 0.4, 0.5, axis=axis) == pytest.approx(0.4, abs=1e-14)
+            assert copula_cond_integral(0.4, 1.0, -0.5, axis=axis) == pytest.approx(0.4, abs=1e-14)
+
     def test_one_sided_limit_identity(self):
         # alpha -> 1 form: int_-inf^PhiInv(u) int Phi((PhiInv(v)-b y)/sb)
         # phi2(x, y; g) dy dx with b g = rho; documented as a test identity only.

@@ -164,7 +164,7 @@ class TestInvariants:
             assert base + integral == pytest.approx(phi2_cdf(h, k, rho), abs=1e-10)
 
     def test_tetrachoric_partial_sums_converge(self):
-        cfg = QuadratureConfig(series_max_terms=60)
+        cfg = QuadratureConfig()
         for rho in (-0.5, -0.25, 0.25, 0.5):
             for h, k in [(0.0, 0.0), (-1.5, 0.5), (3.0, -3.0)]:
                 a = phi2_cdf(h, k, rho, M.TETRACHORIC, cfg)
@@ -178,13 +178,19 @@ class TestValidityAndErrors:
             phi2_cdf(0.0, 0.0, 0.9, M.TETRACHORIC)
 
     def test_tetrachoric_unconverged_budget(self):
-        cfg = QuadratureConfig(series_max_terms=2)
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
         with pytest.raises(ConvergenceError) as info:
             phi2_cdf(0.5, 0.5, 0.6, M.TETRACHORIC, cfg)
         assert np.isfinite(info.value.estimate)
 
+    def test_tetrachoric_nan_tail_raises(self):
+        # phi(h) underflows to 0 and the Hermite terms overflow: the tail
+        # estimate is inf * 0 = NaN, which must not pass as converged.
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            phi2_cdf(1e200, 0.5, 0.5, M.TETRACHORIC)
+
     def test_plackett_budget_exhausted(self):
-        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
         with pytest.raises(ConvergenceError):
             phi2_cdf(0.3, -0.4, 0.6, M.PLACKETT_FROM_INDEPENDENCE, cfg)
 
@@ -326,3 +332,13 @@ class TestRegressionInputs:
     def test_single_factor_at_rho_08(self):
         got = phi2_cdf(-0.129, 0.191, 0.8, "single_factor_quadrature")
         assert abs(got - 0.39792988037884463701) <= 1e-14
+
+    def test_single_factor_honours_cfg_at_high_rho(self):
+        # 768 and 1024 Gauss-Hermite nodes differ by 1.4e-7 here, where auto
+        # and owen agree to 1e-16: the default cfg raises, a loose one passes.
+        h, k, rho = 0.5875776494217408, 0.7758833157547933, 0.9886427023002682
+        with pytest.raises(ConvergenceError):
+            phi2_cdf(h, k, rho, "single_factor_quadrature")
+        loose = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
+        got = phi2_cdf(h, k, rho, "single_factor_quadrature", loose)
+        assert abs(got - phi2_cdf(h, k, rho)) <= 1e-6

@@ -146,11 +146,13 @@ class TestMillsRatio:
         assert mills_ratio(6.0) == pytest.approx(direct, rel=1e-13)
 
     def test_underflowed_density_is_silent(self):
-        # phi(-40) underflows to 0: R = +inf and h = -inf, without a warning.
+        # phi(-40) underflows to 0: R = +inf and h = -inf, without a warning;
+        # h(+inf) is its limit 1, not inf * R(inf) = inf * 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mills_ratio(-40.0) == np.inf
             assert h_function(-40.0) == -np.inf
+            assert h_function(np.inf) == 1.0
             assert mills_ratio(np.array([-40.0, 0.0]))[0] == np.inf
 
     def test_h_at_zero(self):

@@ -76,7 +76,7 @@ class TestQuad1d:
         assert val == pytest.approx(0.25 + np.arcsin(0.8) / (2 * np.pi), abs=1e-10)
 
     def test_budget_exhaustion(self):
-        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
         with pytest.raises(ConvergenceError):
             quad1d(lambda t: np.sqrt(abs(t - 0.3)), 0.0, 1.0, cfg)
 

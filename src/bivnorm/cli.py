@@ -159,6 +159,10 @@ def cmd_compare(args) -> list[dict]:
                         row["status"] = f"rejected ({exc})"
                         rows.append(row)
                         continue
+                    except ConvergenceError as exc:
+                        row["status"] = f"unconverged (estimate {exc.estimate:.3e})"
+                        rows.append(row)
+                        continue
                     row["value"] = val
                     row["abs_error"] = abs(val - truth)
                     worst[engine.value] = max(worst.get(engine.value, 0.0), row["abs_error"])

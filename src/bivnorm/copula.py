@@ -58,7 +58,7 @@ def copula_cdf(
     r, r_scalar = _as_float_array(validate_rho(rho))
     # One quantile call for both arguments halves its per-call overhead; 0
     # and 1 map to -+inf, which _phi2 resolves to the exact margins.
-    h, k = norm_quantile(np.stack(np.broadcast_arrays(uu, vv)))
+    h, k = norm_quantile(np.array(np.broadcast_arrays(uu, vv)))
     out = _phi2(h, k, uu, vv, r, Phi2Method(method), cfg)
     return _maybe_scalar(out, u_scalar and v_scalar and r_scalar)
 
@@ -73,8 +73,7 @@ def copula_density(u, v, rho):
     r = validate_rho(rho, interior=True)
     u_arr, us = _validate_unit(u, "u", interior=True)
     v_arr, vs = _validate_unit(v, "v", interior=True)
-    x = norm_quantile(u_arr)
-    y = norm_quantile(v_arr)
+    x, y = norm_quantile(np.array(np.broadcast_arrays(u_arr, v_arr)))
     omr2 = 1.0 - r * r
     expo = (2.0 * r * x * y - r * r * (x * x + y * y)) / (2.0 * omr2)
     return _maybe_scalar(np.exp(expo) / np.sqrt(omr2), us and vs)
@@ -199,7 +198,7 @@ def diag_cdf(u, rho):
     if np.any(interior):
         ui = u_b[interior]
         out[interior] = ui - 2.0 * owen_t(norm_quantile(ui), _lam(r_b[interior]))
-    return _maybe_scalar(np.clip(out, 0.0, 1.0), u_scalar and r_scalar)
+    return _maybe_scalar(np.minimum(np.maximum(out, 0.0), 1.0), u_scalar and r_scalar)
 
 
 def halfline_cdf(u, rho):
@@ -218,7 +217,7 @@ def halfline_cdf(u, rho):
         with np.errstate(divide="ignore"):
             slope = -ri / np.sqrt(1.0 - ri * ri)
         out[interior] = 0.5 * ui - owen_t(norm_quantile(ui), slope)
-    return _maybe_scalar(np.clip(out, 0.0, 1.0), u_scalar and r_scalar)
+    return _maybe_scalar(np.minimum(np.maximum(out, 0.0), 1.0), u_scalar and r_scalar)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import DomainError, EngineRejected
 from .gauss import norm_cdf, norm_pdf, _as_float_array, _maybe_scalar
@@ -64,6 +64,11 @@ AUTO_ERROR_FLOOR = 1e-15
 # the order of the one Gauss-Legendre rule both branches use.
 _GENZ_SWITCH = 0.925
 _GENZ_ORDER = 20
+# That rule as both branches use it: nodes shifted to [0, 2] for the angle,
+# and the squared half-nodes ((x + 1)/2)^2 that scale 1 - r^2.
+_GENZ_X1 = gauss_legendre(_GENZ_ORDER)[0] + 1.0
+_GENZ_W = gauss_legendre(_GENZ_ORDER)[1]
+_GENZ_T = (0.5 * _GENZ_X1) ** 2
 
 # Beyond here the Hermite series needs too many terms to be trustworthy.
 TETRACHORIC_RHO_MAX = 0.6
@@ -181,6 +186,9 @@ def _plackett_from_max(h: float, k: float, rho: float, cfg: QuadratureConfig) ->
     # r = 1 against the Jacobian; what remains is smooth on [0, 1]:
     #   integrand(s) = sqrt(1-rho)/pi * exp(E) / sqrt(2 - omr),
     #   E = -((h-k)^2 + 2 h k omr) / (2 omr (2 - omr)),  omr = (1-rho) s^2.
+    # As in _genz: Phi(+-40) is 1 or 0 in double, and (h - k)^2 stays finite.
+    h = min(max(h, -40.0), 40.0)
+    k = min(max(k, -40.0), 40.0)
     one_m_rho = 1.0 - rho
     diff2 = (h - k) ** 2
     hk2 = 2.0 * h * k
@@ -272,66 +280,69 @@ def _single_factor(h: float, k: float, rho: float, cfg: QuadratureConfig) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _genz_asin(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Plackett's identity with rho = sin(theta):
-    #   Phi2 = Phi(h) Phi(k)
-    #          + 1/(2pi) int_0^asin(r) exp((hk sin t - (h^2+k^2)/2) / cos^2 t) dt.
-    x, w = gauss_legendre(_GENZ_ORDER)
+def _genz_asin(h: np.ndarray, k: np.ndarray, u: np.ndarray, v: np.ndarray,
+               r: np.ndarray) -> np.ndarray:
+    # Plackett's identity with rho = sin(theta), u = Phi(h), v = Phi(k):
+    #   Phi2 = u v + 1/(2pi) int_0^asin(r) exp((hk sin t - (h^2+k^2)/2) / cos^2 t) dt.
     half = 0.5 * np.arcsin(r)
-    sn = np.sin(half[:, None] * (x + 1.0))
-    hk = (h * k)[:, None]
-    hs = (0.5 * (h * h + k * k))[:, None]
-    total = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * w).sum(axis=-1)
-    return half * total / _TWO_PI + norm_cdf(h) * norm_cdf(k)
+    sn = np.sin(half[..., None] * _GENZ_X1)
+    hk = (h * k)[..., None]
+    hs = (0.5 * (h * h + k * k))[..., None]
+    total = (np.exp((sn * hk - hs) / (1.0 - sn * sn)) * _GENZ_W).sum(axis=-1)
+    return half * total / _TWO_PI + u * v
 
 
 def _genz_high(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Genz's expansion about rho = +-1, written for the upper orthant
-    # P(X > sh, Y > sk) = Phi2(h, k) at sh = -h, sk = -k; for r < 0 the
-    # second argument is reflected and the result mapped back below.
-    sh = -h
-    sk = np.where(r < 0.0, k, -k)
-    hk = sh * sk
+    # P(X > -h, Y > -kk) with kk = sign(r) k: for r < 0 the second argument
+    # is reflected, and the result mapped back below.
+    kk = np.sign(r) * k
+    hk = h * kk
     as_ = (1.0 - r) * (1.0 + r)
     a = np.sqrt(as_)
-    bs = (sh - sk) ** 2
+    bs = (kk - h) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 80.0
-    bvn = a * np.exp(-0.5 * (bs / as_ + hk)) * (
-        1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_
-    )
+    cd = c * d
+    dbs = 1.0 - d * bs
+    bvn = a * np.exp(-0.5 * (bs / as_ + hk)) * (1.0 - c * (bs - as_) * dbs / 3.0 + cd * as_ * as_)
     # exp(-hk/2) Phi(-b/a) in one exponent: exp(-hk/2) alone overflows for
     # hk < -1418, where the product is far below double precision.
     b = np.sqrt(bs)
-    bvn -= (_SQRT_2PI * b * np.exp(log_ndtr(-b / a) - 0.5 * hk)
-            * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+    bvn -= _SQRT_2PI * b * np.exp(log_ndtr(-b / a) - 0.5 * hk) * (1.0 - c * bs * dbs / 3.0)
     # The smooth remainder, on [0, a] in x = sqrt(1 - r'^2). The loop term
     # is 1 + c xs (1 + 5 d xs): with d = (12 - hk)/80 the factor 5 matters.
-    x, w = gauss_legendre(_GENZ_ORDER)
-    xs = (0.5 * a[:, None] * (x + 1.0)) ** 2
+    xs = as_[..., None] * _GENZ_T
     rs = np.sqrt(1.0 - xs)
-    bsx = bs[:, None] / xs
-    hkc = hk[:, None]
-    series = np.exp(-0.5 * (bsx + hkc)) * (1.0 + c[:, None] * xs * (1.0 + 5.0 * d[:, None] * xs))
+    bsx = bs[..., None] / xs
+    hkc = hk[..., None]
+    series = np.exp(-0.5 * (bsx + hkc)) * (1.0 + c[..., None] * xs * (1.0 + 5.0 * d[..., None] * xs))
     exact = np.exp(-0.5 * bsx - hkc / (1.0 + rs)) / rs
-    bvn = (0.5 * a * ((series - exact) * w).sum(axis=-1) - bvn) / _TWO_PI
-    pos = bvn + norm_cdf(-np.maximum(sh, sk))
-    between = np.where(sh < 0.0, norm_cdf(sk) - norm_cdf(sh), norm_cdf(-sh) - norm_cdf(-sk))
-    neg = np.where(sh >= sk, -bvn, between - bvn)
+    bvn = (0.5 * a * ((series - exact) * _GENZ_W).sum(axis=-1) - bvn) / _TWO_PI
+    pos = bvn + ndtr(np.minimum(h, kk))
+    between = np.where(h > 0.0, ndtr(-kk) - ndtr(-h), ndtr(h) - ndtr(kk))
+    neg = np.where(h <= kk, -bvn, between - bvn)
     return np.where(r > 0.0, pos, neg)
 
 
-def _genz(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Phi2 for finite h, k and 0 < |r| < 1, given as 1-d arrays."""
+def _genz(h: np.ndarray, k: np.ndarray, u: np.ndarray, v: np.ndarray,
+          r: np.ndarray) -> np.ndarray:
+    """Phi2 for finite h, k and 0 < |r| < 1, given u = Phi(h), v = Phi(k);
+    the arrays broadcast."""
     # Phi(-40) < 1e-348 underflows to 0, so clipping there changes no
     # result and keeps h k and h^2 finite.
-    h = np.clip(h, -40.0, 40.0)
-    k = np.clip(k, -40.0, 40.0)
-    out = np.empty_like(h)
+    h = np.minimum(np.maximum(h, -40.0), 40.0)
+    k = np.minimum(np.maximum(k, -40.0), 40.0)
     low = np.abs(r) < _GENZ_SWITCH
-    for branch, kernel in ((low, _genz_asin), (~low, _genz_high)):
-        if branch.any():
-            out[branch] = kernel(h[branch], k[branch], r[branch])
+    if low.all():
+        return _genz_asin(h, k, u, v, r)
+    if not low.any():
+        return _genz_high(h, k, r)
+    h, k, u, v, r, low = np.broadcast_arrays(h, k, u, v, r, low)
+    high = ~low
+    out = np.empty(low.shape)
+    out[low] = _genz_asin(h[low], k[low], u[low], v[low], r[low])
+    out[high] = _genz_high(h[high], k[high], r[high])
     return out
 
 
@@ -356,22 +367,29 @@ def _phi2(h, k, u, v, r, method: Phi2Method, cfg: QuadratureConfig) -> np.ndarra
     only see finite arguments and 0 < |rho| < 1, and every result is clipped
     to those Frechet bounds. The copula passes its own u, v, so that it is
     exact on the boundary of the unit square."""
-    h, k, u, v, r = np.broadcast_arrays(h, k, u, v, r)
     lower = np.maximum(u + v - 1.0, 0.0)
     upper = np.minimum(u, v)
-    out = np.where(r == 0.0, u * v, np.where(r > 0.0, upper, lower))
-    out = np.where(h == np.inf, v, np.where(k == np.inf, u, out))
-
     inner = np.isfinite(h) & np.isfinite(k) & (np.abs(r) < 1.0) & (r != 0.0)
-    if inner.any():
-        hi, ki, ri = h[inner], k[inner], r[inner]
+    if inner.all():
         if method is Phi2Method.AUTO:
-            value = _genz(hi, ki, ri)
-            _enforce(AUTO_ERROR_FLOOR, value, cfg, "the auto kernel")
+            value = _genz(h, k, u, v, r)
+            # The kernel's error is AUTO_ERROR_FLOOR everywhere, so only an
+            # abs_tol below it can fail the abs-or-rel rule.
+            if cfg.abs_tol < AUTO_ERROR_FLOOR:
+                _enforce(AUTO_ERROR_FLOOR, value, cfg, "the auto kernel")
         else:
             engine = _ENGINES[method]
-            value = np.array([engine(*p, cfg) for p in zip(hi.tolist(), ki.tolist(), ri.tolist())])
-        out[inner] = np.clip(value, lower[inner], upper[inner])
+            h, k, r = np.broadcast_arrays(h, k, r)
+            points = zip(h.ravel().tolist(), k.ravel().tolist(), r.ravel().tolist())
+            value = np.reshape([engine(*p, cfg) for p in points], h.shape)
+        return np.minimum(np.maximum(value, lower), upper)
+    # Resolve the boundary points here and send the interior ones back
+    # through the branch above.
+    h, k, u, v, r, inner = np.broadcast_arrays(h, k, u, v, r, inner)
+    out = np.where(r == 0.0, u * v, np.where(r > 0.0, upper, lower))
+    out = np.where(h == np.inf, v, np.where(k == np.inf, u, out))
+    if inner.any():
+        out[inner] = _phi2(h[inner], k[inner], u[inner], v[inner], r[inner], method, cfg)
     return out
 
 
@@ -394,5 +412,5 @@ def phi2_cdf(
     if np.isnan(h_arr).any() or np.isnan(k_arr).any():
         raise DomainError("phi2_cdf arguments must not be NaN")
     # Phi2Method(member) is the member itself; a tag maps to its member.
-    out = _phi2(h_arr, k_arr, norm_cdf(h_arr), norm_cdf(k_arr), r_arr, Phi2Method(method), cfg)
+    out = _phi2(h_arr, k_arr, ndtr(h_arr), ndtr(k_arr), r_arr, Phi2Method(method), cfg)
     return _maybe_scalar(out, h_scalar and k_scalar and r_scalar)

@@ -78,14 +78,13 @@ def norm_quantile(p):
     """
     arr, scalar = _validate_unit(p, "quantile level")
     x = special.ndtri(arr)
+    pdf = norm_pdf(x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        pdf = norm_pdf(x)
+        # Halley: x' = x - 2 f / (2 phi(x) + x f); skip where phi underflows,
+        # which includes x = -+inf at p = 0, 1.
         f = special.ndtr(x) - arr
-        # Halley: x' = x - 2 f / (2 phi(x) + x f); skip where phi underflows.
-        refine = np.isfinite(x) & (pdf > _PDF_FLOOR)
-        step = np.where(refine, 2.0 * f / (2.0 * pdf + x * f), 0.0)
-    x = x - np.where(refine, step, 0.0)
-    return _maybe_scalar(x, scalar)
+        step = np.where(pdf > _PDF_FLOOR, 2.0 * f / (2.0 * pdf + x * f), 0.0)
+    return _maybe_scalar(x - step, scalar)
 
 
 def _mills_continued_fraction(x: np.ndarray, depth: int = 80) -> np.ndarray:

@@ -93,6 +93,18 @@ class TestCompare:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert any(r["status"].startswith("rejected") for r in rows)
 
+    def test_unconverged_engine_reported_per_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--rho", "0.99", "--h-grid", "3", "--k-grid", "3",
+            "--engines", "owen", "single_factor_quadrature", "--format", "csv",
+        )
+        assert code == 0
+        status = {(r["kind"], r["engine"]): r["status"] for r in csv.DictReader(io.StringIO(out))}
+        assert status[("point", "owen")] == "ok"
+        assert status[("point", "single_factor_quadrature")].startswith("unconverged (estimate ")
+        assert ("summary", "owen") in status
+        assert ("summary", "single_factor_quadrature") not in status
+
     def test_mc_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--h-grid", "0", "--k-grid", "0", "--rho", "0.3",

@@ -75,6 +75,20 @@ class TestCdf:
         with pytest.raises(DomainError):
             copula_cdf([0.5, np.nan], 0.5, 0.5)
 
+    def test_array_call_equals_scalar_loop(self):
+        # Boundary u, v and rho next to points of both kernel branches (|rho|
+        # below and above 0.925), in one mixed batch.
+        grid = np.array([0.0, 1e-300, 0.2, 0.5, 0.9, 1.0])
+        rhos = np.array([-1.0, -0.97, -0.5, 0.0, 0.5, 0.97, 1.0])
+        u, v, rho = (a.ravel() for a in np.meshgrid(grid, grid, rhos, indexing="ij"))
+        loop = [copula_cdf(*p) for p in zip(u.tolist(), v.tolist(), rho.tolist())]
+        assert np.array_equal(copula_cdf(u, v, rho), loop)
+        # An all-interior batch of one branch, broadcast.
+        inner = grid[1:-1]
+        for r in (0.5, -0.97):
+            loop = [[copula_cdf(a, b, r) for b in inner.tolist()] for a in inner.tolist()]
+            assert np.array_equal(copula_cdf(inner[:, None], inner[None, :], r), loop)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             copula_cdf(1.5, 0.5, 0.5)
@@ -285,6 +299,12 @@ class TestDiagCdf:
         for i, u in enumerate((0.25, 0.5)):
             for j, rho in enumerate((0.8, 0.0, -1.0)):
                 assert got[i, j] == diag_cdf(u, rho)
+
+    def test_array_call_equals_scalar_loop(self):
+        u = np.array([0.0, 1e-300, 0.2, 0.5, 0.9, 1.0])[:, None]
+        rho = np.array([-1.0, -0.97, -0.5, 0.0, 0.5, 0.97, 1.0])
+        loop = [[diag_cdf(a, b) for b in rho.tolist()] for a in u.ravel().tolist()]
+        assert np.array_equal(diag_cdf(u, rho), loop)
 
     def test_rho_boundaries(self):
         assert diag_cdf(0.3, 1.0) == pytest.approx(0.3, abs=1e-15)

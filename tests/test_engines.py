@@ -274,6 +274,15 @@ class TestGenzKernel:
         loop = [phi2_cdf(*p) for p in zip(h.tolist(), k.tolist(), rho.tolist())]
         assert np.array_equal(phi2_cdf(h, k, rho), np.array(loop))
 
+    def test_high_branch_matches_owen(self):
+        # The expansion branch against the T-function route on random points;
+        # the largest gap is one step of 2.2e-16 in the last bit below 1.
+        rng = np.random.default_rng(9)
+        h, k = rng.uniform(-8.0, 8.0, (2, 2000))
+        rho = rng.choice([-1.0, 1.0], 2000) * rng.uniform(0.925, 1.0 - 1e-9, 2000)
+        owen = [phi2_owen(*p) for p in zip(h.tolist(), k.tolist(), rho.tolist())]
+        assert np.max(np.abs(phi2_cdf(h, k, rho) - owen)) <= np.finfo(float).eps
+
     def test_broadcasting_and_limits_in_arrays(self):
         h = np.array([0.3, np.inf, -np.inf, 0.3, 0.3, 0.3])
         rho = np.array([0.5, 0.5, 0.5, 0.0, 1.0, -1.0])
@@ -320,6 +329,12 @@ class TestRegressionInputs:
         got = phi2_cdf(-0.9994036109355074, -0.9994063187420841, 0.8254279688397536,
                        "plackett_from_max")
         assert abs(got - 0.10174854399809230371) <= 1e-12
+
+    def test_plackett_from_max_huge_arguments(self):
+        # (h - k)^2 of h = 1e200 overflowed a Python float.
+        for h, k in ((1e200, 0.5), (0.5, 1e200)):
+            assert phi2_cdf(h, k, 0.5, M.PLACKETT_FROM_MAX) == norm_cdf(0.5)
+            assert phi2_cdf(-h, -k, 0.5, M.PLACKETT_FROM_MAX) == 0.0
 
     def test_copula_lower_tail_near_rho_089(self):
         got = copula_cdf(0.0016355603504203114, 0.8689240132225767, -0.8912792249381268)

@@ -35,7 +35,7 @@ for kind in DiagApproxKind:
     print(f"{kind.value:14s} {a:14.12f} {abs(a - c):12.2e}")
 
 # -- worst-case scans --------------------------------------------------------
-print("\nworst-case error scans (200 x 200 grid + golden-section refinement):")
+print("\nworst-case error scans (200 x 200 grid + zoom refinement):")
 for kind in DiagBoundKind:
     rep = bound_error_scan(kind)
     print(f"  {kind.value:12s} max |err| = {rep.max_abs_error:.6f} "

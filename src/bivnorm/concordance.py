@@ -115,17 +115,19 @@ def _kendall_numeric(r: float) -> float:
     x, w = norm_quantile(0.5 * (x + 1.0)), 0.5 * w
     s = np.sqrt(1.0 - r * r)
     cond_u = norm_cdf((x[None, :] - r * x[:, None]) / s)  # dC/du at (u_i, v_j)
-    cond_v = norm_cdf((x[:, None] - r * x[None, :]) / s)  # dC/dv at (u_i, v_j)
-    inner = (cond_u * cond_v) @ w
+    inner = (cond_u * cond_u.T) @ w  # dC/dv at (u_i, v_j) is dC/du at (u_j, v_i)
     return 1.0 - 4.0 * float(np.dot(w, inner))
 
 
 def _spearman_numeric(r: float) -> float:
-    # 12 int int C(u, v) du dv - 3, on a tensor grid of the fast engine.
+    # 12 int int C(u, v) du dv - 3, on a tensor grid of the fast engine;
+    # C(u, v) = C(v, u), so only the upper triangle is evaluated, and each
+    # point off the diagonal counts twice.
     x, w = gauss_legendre(_GRID_N)
     x, w = norm_quantile(0.5 * (x + 1.0)), 0.5 * w
-    grid = phi2_owen(x[:, None], x[None, :], r)
-    return 12.0 * float(np.dot(w, grid @ w)) - 3.0
+    i, j = np.triu_indices(_GRID_N)
+    weight = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
+    return 12.0 * float(np.dot(weight, phi2_owen(x[i], x[j], r))) - 3.0
 
 
 def measure_numeric(measure, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MeasureValue:

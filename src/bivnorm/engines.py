@@ -69,6 +69,9 @@ _GENZ_ORDER = 20
 _GENZ_X1 = gauss_legendre(_GENZ_ORDER)[0] + 1.0
 _GENZ_W = gauss_legendre(_GENZ_ORDER)[1]
 _GENZ_T = (0.5 * _GENZ_X1) ** 2
+# Points per kernel call: the kernels hold about 20 temporaries of points x
+# nodes, so a block keeps each near 10 MB however large the batch.
+_GENZ_BLOCK = 65_536
 
 # Beyond here the Hermite series needs too many terms to be trustworthy.
 TETRACHORIC_RHO_MAX = 0.6
@@ -134,12 +137,16 @@ def phi2_owen(h, k, rho):
     r = validate_rho(rho, interior=True)
     h_arr, hs = _as_float_array(h)
     k_arr, ks = _as_float_array(k)
-    h_b, k_b = np.broadcast_arrays(h_arr, k_arr)
+    h_b, k_b, r_b = np.broadcast_arrays(h_arr, k_arr, r)
     shape = h_b.shape
     h_b = np.asarray(h_b, dtype=float).ravel()
     k_b = np.asarray(k_b, dtype=float).ravel()
     if not (np.all(np.isfinite(h_b)) and np.all(np.isfinite(k_b))):
         raise DomainError("phi2_owen requires finite arguments")
+    # A scalar rho stays one float; an array rho is taken point by point.
+    per_point = np.ndim(r) > 0
+    if per_point:
+        r = r_b.ravel()
 
     u = norm_cdf(h_b)
     v = norm_cdf(k_b)
@@ -148,21 +155,22 @@ def phi2_owen(h, k, rho):
     out = np.empty_like(h_b)
     center = (h_b == 0.0) & (k_b == 0.0)
     if np.any(center):
-        out[center] = 0.25 + np.arcsin(r) / _TWO_PI
+        out[center] = 0.25 + np.arcsin(r[center] if per_point else r) / _TWO_PI
 
     rest = ~center
     if np.any(rest):
         # Adding 0.0 turns -0.0 into +0.0, so a zero argument sends its slope
         # to +-inf with the sign of the other one; T(0, +-inf) = +-1/4.
         hh, kk = h_b[rest] + 0.0, k_b[rest] + 0.0
+        rr, dd = (r[rest], denom[rest]) if per_point else (r, denom)
         with np.errstate(divide="ignore"):
-            a_h = (kk / hh - r) / denom
-            a_k = (hh / kk - r) / denom
+            a_h = (kk / hh - rr) / dd
+            a_k = (hh / kk - rr) / dd
         delta = 0.5 * ((hh < 0.0) != (kk < 0.0))
         out[rest] = 0.5 * (u[rest] + v[rest]) - owen_t(hh, a_h) - owen_t(kk, a_k) - delta
 
     out = np.clip(out, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
-    return _maybe_scalar(out.reshape(shape), hs and ks)
+    return _maybe_scalar(out.reshape(shape), hs and ks and not per_point)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +354,21 @@ def _genz(h: np.ndarray, k: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out
 
 
+def _genz_blocks(h: np.ndarray, k: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 r: np.ndarray, shape: tuple) -> np.ndarray:
+    """_genz over arrays that broadcast to ``shape``, _GENZ_BLOCK flattened
+    points at a time."""
+    # A one-value argument (a scalar rho, say) stays one value per block,
+    # so the kernel still computes its node terms once.
+    args = [a.reshape(()) if a.size == 1 else np.broadcast_to(a, shape).ravel()
+            for a in (h, k, u, v, r)]
+    out = np.empty(shape).ravel()
+    for start in range(0, out.size, _GENZ_BLOCK):
+        block = slice(start, start + _GENZ_BLOCK)
+        out[block] = _genz(*(a if a.ndim == 0 else a[block] for a in args))
+    return out.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # public CDF with dispatch
 # ---------------------------------------------------------------------------
@@ -372,7 +395,11 @@ def _phi2(h, k, u, v, r, method: Phi2Method, cfg: QuadratureConfig) -> np.ndarra
     inner = np.isfinite(h) & np.isfinite(k) & (np.abs(r) < 1.0) & (r != 0.0)
     if inner.all():
         if method is Phi2Method.AUTO:
-            value = _genz(h, k, u, v, r)
+            # inner has the broadcast shape of all five arguments.
+            if inner.size > _GENZ_BLOCK:
+                value = _genz_blocks(h, k, u, v, r, inner.shape)
+            else:
+                value = _genz(h, k, u, v, r)
             # The kernel's error is AUTO_ERROR_FLOOR everywhere, so only an
             # abs_tol below it can fail the abs-or-rel rule.
             if cfg.abs_tol < AUTO_ERROR_FLOOR:

@@ -4,6 +4,7 @@ optimality witnesses, and the worst-case-error scans."""
 import numpy as np
 import pytest
 
+from bivnorm import bounds as bounds_module
 from bivnorm import (
     DiagApproxKind,
     DiagBoundKind,
@@ -193,3 +194,24 @@ class TestScans:
     def test_scan_grid_validation(self):
         with pytest.raises(DomainError):
             bound_error_scan(B.LOWER_THM1, n_u=1)
+
+
+class TestScanRefinement:
+    @pytest.mark.parametrize("kind", list(B) + list(A), ids=lambda k: k.value)
+    def test_refinement_is_array_native_and_no_worse(self, kind, monkeypatch):
+        coarse = bound_error_scan(kind, n_u=200, n_rho=200, refine=False)
+        calls = []
+
+        def counted(u, rho):
+            calls.append(1)
+            return diag_cdf(u, rho)
+
+        monkeypatch.setattr(bounds_module, "diag_cdf", counted)
+        rep = bound_error_scan(kind, n_u=200, n_rho=200)
+        # one coarse-grid call, then one small tensor grid per zoom level
+        assert len(calls) <= 15
+        evaluate = diag_bound if isinstance(kind, B) else diag_approx
+        u, rho = rep.u_at_max, rep.rho_at_max
+        assert abs(rep.max_abs_error - abs(evaluate(kind, u, rho) - diag_cdf(u, rho))) <= 1e-15
+        assert rep.max_abs_error >= coarse.max_abs_error
+        assert rep.min_signed_error == coarse.min_signed_error

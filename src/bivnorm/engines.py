@@ -69,9 +69,6 @@ _GENZ_ORDER = 20
 _GENZ_X1 = gauss_legendre(_GENZ_ORDER)[0] + 1.0
 _GENZ_W = gauss_legendre(_GENZ_ORDER)[1]
 _GENZ_T = (0.5 * _GENZ_X1) ** 2
-# Points per kernel call: the kernels hold about 20 temporaries of points x
-# nodes, so a block keeps each near 10 MB however large the batch.
-_GENZ_BLOCK = 65_536
 
 # Beyond here the Hermite series needs too many terms to be trustworthy.
 TETRACHORIC_RHO_MAX = 0.6
@@ -354,21 +351,6 @@ def _genz(h: np.ndarray, k: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out
 
 
-def _genz_blocks(h: np.ndarray, k: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 r: np.ndarray, shape: tuple) -> np.ndarray:
-    """_genz over arrays that broadcast to ``shape``, _GENZ_BLOCK flattened
-    points at a time."""
-    # A one-value argument (a scalar rho, say) stays one value per block,
-    # so the kernel still computes its node terms once.
-    args = [a.reshape(()) if a.size == 1 else np.broadcast_to(a, shape).ravel()
-            for a in (h, k, u, v, r)]
-    out = np.empty(shape).ravel()
-    for start in range(0, out.size, _GENZ_BLOCK):
-        block = slice(start, start + _GENZ_BLOCK)
-        out[block] = _genz(*(a if a.ndim == 0 else a[block] for a in args))
-    return out.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # public CDF with dispatch
 # ---------------------------------------------------------------------------
@@ -395,11 +377,7 @@ def _phi2(h, k, u, v, r, method: Phi2Method, cfg: QuadratureConfig) -> np.ndarra
     inner = np.isfinite(h) & np.isfinite(k) & (np.abs(r) < 1.0) & (r != 0.0)
     if inner.all():
         if method is Phi2Method.AUTO:
-            # inner has the broadcast shape of all five arguments.
-            if inner.size > _GENZ_BLOCK:
-                value = _genz_blocks(h, k, u, v, r, inner.shape)
-            else:
-                value = _genz(h, k, u, v, r)
+            value = _genz(h, k, u, v, r)
             # The kernel's error is AUTO_ERROR_FLOOR everywhere, so only an
             # abs_tol below it can fail the abs-or-rel rule.
             if cfg.abs_tol < AUTO_ERROR_FLOOR:

@@ -20,7 +20,7 @@ from bivnorm import (
     quad1d,
     validate_rho,
 )
-from bivnorm.engines import _GENZ_BLOCK, AUTO_ERROR_FLOOR
+from bivnorm.engines import AUTO_ERROR_FLOOR
 
 M = Phi2Method
 
@@ -286,23 +286,6 @@ class TestGenzKernel:
         h, k, rho, _ = _mpmath_grid()
         loop = [phi2_cdf(*p) for p in zip(h.tolist(), k.tolist(), rho.tolist())]
         assert np.array_equal(phi2_cdf(h, k, rho), np.array(loop))
-
-    def test_blocked_batch_equals_per_block_calls(self):
-        # 70,000 points make two kernel blocks, each with points in both
-        # branches; the one call must equal the calls on the blocks alone.
-        rng = np.random.default_rng(11)
-        n = 70_000
-        h, k = rng.uniform(-6.0, 6.0, (2, n))
-        rho = rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 0.999, n)
-        assert 0 < np.count_nonzero(np.abs(rho[_GENZ_BLOCK:]) < 0.925) < n - _GENZ_BLOCK
-        blocks = [phi2_cdf(h[s:s + _GENZ_BLOCK], k[s:s + _GENZ_BLOCK], rho[s:s + _GENZ_BLOCK])
-                  for s in range(0, n, _GENZ_BLOCK)]
-        assert np.array_equal(phi2_cdf(h, k, rho), np.concatenate(blocks))
-        # A broadcast 300 x 300 grid spans two blocks as well.
-        x = np.linspace(-4.0, 4.0, 300)
-        for r in (0.6, -0.97):
-            rows = [phi2_cdf(xi, x, r) for xi in x.tolist()]
-            assert np.array_equal(phi2_cdf(x[:, None], x[None, :], r), rows)
 
     def test_high_branch_matches_owen(self):
         # The expansion branch against the T-function route on random points;

@@ -391,7 +391,8 @@ def _phi2(h, k, u, v, r, method: Phi2Method, cfg: QuadratureConfig) -> np.ndarra
     # Resolve the boundary points here and send the interior ones back
     # through the branch above.
     h, k, u, v, r, inner = np.broadcast_arrays(h, k, u, v, r, inner)
-    out = np.where(r == 0.0, u * v, np.where(r > 0.0, upper, lower))
+    # u + v - 1 can round above min(u, v) where Phi(h) rounds to 1 at a finite h.
+    out = np.where(r == 0.0, u * v, np.where(r > 0.0, upper, np.minimum(lower, upper)))
     out = np.where(h == np.inf, v, np.where(k == np.inf, u, out))
     if inner.any():
         out[inner] = _phi2(h[inner], k[inner], u[inner], v[inner], r[inner], method, cfg)

@@ -23,14 +23,12 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
 
-# Below this density value the Halley correction of the quantile and the
-# direct Mills formula are dominated by underflow.
-_PDF_FLOOR = 1e-300
-
-# Direct (1 - Phi)/phi loses nothing up to here thanks to the reflected CDF;
-# beyond it the continued fraction avoids 0/0 once phi underflows.
-_MILLS_SWITCH = 6.0
+# From here up R(x) = sqrt(pi/2) erfcx(x / sqrt 2), which stays accurate after
+# phi(x) underflows; below it the direct (1 - Phi)/phi with the reflected CDF
+# is about 4x more accurate than erfcx.
+_MILLS_SWITCH = 0.0
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -71,47 +69,32 @@ def norm_quantile(p):
 
     The endpoints map to -inf / +inf so that copula boundary cases flow
     through the limit-handling paths. Values outside [0, 1] raise
-    DomainError. A rational first guess is polished with one Halley step
-    against :func:`norm_cdf`, which pins the round trip
-    ``norm_cdf(norm_quantile(p)) == p`` to ~1e-15 independently of the
-    starting approximation.
+    DomainError. Backed by ``scipy.special.ndtri``: 2 ulp from the exact
+    quantile of the given double at worst on the committed mpmath grid
+    (p down to 1e-300 and up to 1 - 2**-53), and held to 4 ulp.
     """
     arr, scalar = _validate_unit(p, "quantile level")
-    x = special.ndtri(arr)
-    pdf = norm_pdf(x)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # Halley: x' = x - 2 f / (2 phi(x) + x f); skip where phi underflows,
-        # which includes x = -+inf at p = 0, 1.
-        f = special.ndtr(x) - arr
-        step = np.where(pdf > _PDF_FLOOR, 2.0 * f / (2.0 * pdf + x * f), 0.0)
-    return _maybe_scalar(x - step, scalar)
-
-
-def _mills_continued_fraction(x: np.ndarray, depth: int = 80) -> np.ndarray:
-    # R(x) = 1 / (x + 1 / (x + 2 / (x + 3 / ...))), evaluated backward.
-    t = np.zeros_like(x)
-    for k in range(depth, 0, -1):
-        t = k / (x + t)
-    return 1.0 / (x + t)
+    return _maybe_scalar(special.ndtri(arr), scalar)
 
 
 def mills_ratio(x):
     """Mills' ratio R(x) = (1 - Phi(x)) / phi(x).
 
-    The direct formula (with the reflected CDF, so no cancellation) is used
-    for x < 6; beyond that a continued fraction takes over, which stays
-    accurate long after phi(x) underflows.
+    For x >= 0 it is sqrt(pi/2) erfcx(x / sqrt 2); for x < 0 it is the direct
+    formula with the reflected CDF. On the committed mpmath grid the worst
+    relative error is 8.9e-16 on [0, 1e4] (held to 2e-15) and 5.6e-14 on
+    [-37, 0) (held to 6e-14). R overflows to +inf below about x = -37.7.
     """
     arr, scalar = _as_float_array(x)
     small = arr < _MILLS_SWITCH
     out = np.empty_like(arr)
     if np.any(small):
         xs = arr[small]
-        # phi underflows to 0 below x ~ -38.6, where R is +inf.
-        with np.errstate(divide="ignore"):
+        # 1/phi overflows below x ~ -37.7 and phi is 0 below ~ -38.6: R = +inf.
+        with np.errstate(divide="ignore", over="ignore"):
             out[small] = special.ndtr(-xs) / norm_pdf(xs)
     if np.any(~small):
-        out[~small] = _mills_continued_fraction(arr[~small])
+        out[~small] = _SQRT_HALF_PI * special.erfcx(arr[~small] / np.sqrt(2.0))
     return _maybe_scalar(out, scalar)
 
 

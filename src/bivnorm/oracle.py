@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .engines import validate_rho
 from .gauss import norm_cdf, norm_quantile, _validate_unit
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce
 
 __all__ = [
     "FactorModel",
@@ -76,12 +76,7 @@ def quad2d_phi2(
             epsabs=cfg.abs_tol / 10.0,
             epsrel=cfg.rel_tol / 10.0,
         )
-    if abserr > cfg.abs_tol and abserr > cfg.rel_tol * abs(value):
-        raise ConvergenceError(
-            f"2-D quadrature reached error estimate {abserr:.3e} "
-            f"(target {cfg.abs_tol:.3e})",
-            estimate=abserr,
-        )
+    _enforce(abserr, value, cfg, "2-D quadrature")
     return float(value)
 
 

@@ -3,7 +3,8 @@ diagonal machinery, reduction identities, and factor-form integrals."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from bivnorm import (
@@ -24,12 +25,15 @@ from bivnorm import (
     diag_g_transform,
     halfline_cdf,
     line_from_diag,
+    norm_cdf,
     norm_pdf,
     norm_quantile,
+    phi2_cdf,
     phi2_density,
     quad1d,
     reduce_to_halflines,
 )
+from bivnorm.engines import AUTO_ERROR_FLOOR
 
 # mpmath 35-digit values
 C_02_04_05 = 0.13797281862277763       # C(0.2, 0.4; 0.5)
@@ -196,6 +200,128 @@ class TestSymmetries:
                 assert apply_symmetry(kind, u, v, rho).value() == pytest.approx(
                     direct, abs=1e-12
                 )
+
+
+_UNIT = st.floats(0.0, 1.0)
+_RHO = st.floats(-1.0, 1.0)
+_REAL = st.floats(allow_nan=False)
+# u + v - 1 rounds by up to 2**-52: at u = 1 it can exceed v = C(1, v).
+_LOWER_TOL = np.finfo(float).eps
+# Two values each within the kernel's error floor, plus a few roundings of
+# 1 - u and of sums of order 1.
+_MONOTONE_TOL = 2 * AUTO_ERROR_FLOOR
+_SYMMETRY_TOL = 1e-14
+
+
+@st.composite
+def _columns(draw, *elements):
+    """Equal-length arrays of 1 to 64 points, one per element strategy."""
+    n = draw(st.integers(1, 64))
+    return [draw(arrays(float, n, elements=e)) for e in elements]
+
+
+def _assert_within_frechet(c, p, q):
+    assert np.all(np.maximum(p + q - 1.0, 0.0) - _LOWER_TOL <= c)
+    assert np.all(c <= np.minimum(p, q))
+
+
+def _assert_all_close(images, c):
+    for image in images:
+        assert np.max(np.abs(image - c)) <= _SYMMETRY_TOL
+
+
+class TestArrayProperties:
+    """copula_cdf and phi2_cdf on arrays that mix interior, boundary and
+    infinite points: the properties hold point by point."""
+
+    @given(_columns(_UNIT, _UNIT, _RHO))
+    @settings(max_examples=50, deadline=None)
+    def test_copula_frechet_and_symmetries(self, cols):
+        u, v, rho = cols
+        c = copula_cdf(u, v, rho)
+        _assert_within_frechet(c, u, v)
+        _assert_all_close(
+            (
+                copula_cdf(v, u, rho),
+                u - copula_cdf(u, 1.0 - v, -rho),
+                v - copula_cdf(1.0 - u, v, -rho),
+                u + v - 1.0 + copula_cdf(1.0 - u, 1.0 - v, rho),
+            ),
+            c,
+        )
+
+    @given(_columns(_REAL, _REAL, _RHO))
+    # Phi(9) rounds to 1, and Phi(9) + Phi(-1) - 1 to above Phi(-1)
+    @example([np.array([9.0]), np.array([-1.0]), np.array([-1.0])])
+    @settings(max_examples=50, deadline=None)
+    def test_phi2_frechet_and_symmetries(self, cols):
+        h, k, rho = cols
+        p, q = norm_cdf(h), norm_cdf(k)
+        c = phi2_cdf(h, k, rho)
+        _assert_within_frechet(c, p, q)
+        _assert_all_close(
+            (
+                phi2_cdf(k, h, rho),
+                p - phi2_cdf(h, -k, -rho),
+                q - phi2_cdf(-h, k, -rho),
+                p + q - 1.0 + phi2_cdf(-h, -k, rho),
+            ),
+            c,
+        )
+
+    @given(_columns(_UNIT), _UNIT, _RHO)
+    @settings(max_examples=50, deadline=None)
+    def test_copula_monotone(self, cols, w, rho):
+        u = np.sort(cols[0])
+        assert np.all(np.diff(copula_cdf(u, w, rho)) >= -_MONOTONE_TOL)
+        assert np.all(np.diff(copula_cdf(w, u, rho)) >= -_MONOTONE_TOL)
+
+    @given(_columns(_REAL), _REAL, _RHO)
+    @settings(max_examples=50, deadline=None)
+    def test_phi2_monotone(self, cols, x, rho):
+        h = np.sort(cols[0])
+        assert np.all(np.diff(phi2_cdf(h, x, rho)) >= -_MONOTONE_TOL)
+        assert np.all(np.diff(phi2_cdf(x, h, rho)) >= -_MONOTONE_TOL)
+
+    @given(
+        _columns(_UNIT, _UNIT, _RHO, *2 * [st.sampled_from([-1.0, 0.0, 1.0])]),
+        st.integers(0, 2),
+        st.integers(0, 63),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_copula_exact_limits_and_nan(self, cols, which, at):
+        # an edge code of -1 keeps the drawn point, 0 or 1 puts it on that edge
+        u, v, rho, eu, ev = cols
+        u = np.where(eu >= 0.0, eu, u)
+        v = np.where(ev >= 0.0, ev, v)
+        edge = (eu >= 0.0) | (ev >= 0.0)
+        expected = np.where((u == 0.0) | (v == 0.0), 0.0, np.where(u == 1.0, v, u))
+        assert np.array_equal(copula_cdf(u, v, rho)[edge], expected[edge])
+        args = [u, v, rho]
+        args[which][at % rho.size] = np.nan
+        with pytest.raises(DomainError):
+            copula_cdf(*args)
+
+    @given(
+        _columns(_REAL, _REAL, _RHO, *2 * [st.sampled_from([0.0, -np.inf, np.inf])]),
+        st.integers(0, 2),
+        st.integers(0, 63),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_phi2_exact_limits_and_nan(self, cols, which, at):
+        # an edge code of 0 keeps the drawn point, +-inf replaces it
+        h, k, rho, eh, ek = cols
+        h = np.where(eh != 0.0, eh, h)
+        k = np.where(ek != 0.0, ek, k)
+        edge = np.isinf(h) | np.isinf(k)
+        expected = np.where(
+            (h == -np.inf) | (k == -np.inf), 0.0, np.where(h == np.inf, norm_cdf(k), norm_cdf(h))
+        )
+        assert np.array_equal(phi2_cdf(h, k, rho)[edge], expected[edge])
+        args = [h, k, rho]
+        args[which][at % rho.size] = np.nan
+        with pytest.raises(DomainError):
+            phi2_cdf(*args)
 
 
 class TestDiagG:

@@ -5,7 +5,9 @@ the closed forms at 35 digits, a root solve of the CDF for the quantile, and
 the explicit alternating sum for the Hermite polynomials.
 """
 
+import csv
 import math
+import os
 import warnings
 
 import numpy as np
@@ -27,6 +29,10 @@ PDF_AT_1 = 0.24197072451914337    # phi(1), mpmath
 CDF_AT_1 = 0.8413447460685429     # Phi(1), mpmath
 Q_AT_0_25 = -0.6744897501960817   # root solve of Phi(x) = 1/4 to 1e-15
 MILLS_AT_0 = 1.2533141373155003   # sqrt(pi/2)
+
+# 40-digit mpmath values of the quantile and Mills' ratio, written by
+# data/make_gauss_grid.py.
+GRID_CSV = os.path.join(os.path.dirname(__file__), "data", "gauss_mpmath_grid.csv")
 
 
 def hermite_explicit(k: int, x: float) -> float:
@@ -135,13 +141,13 @@ class TestMillsRatio:
         assert np.all(mills_ratio(x) > 0.0)
 
     def test_against_reflected_cdf(self):
-        # direct formula stays valid below the branch switch
+        # the erfcx form agrees with the direct formula where both are accurate
         for x in [-5.0, -1.0, 0.5, 3.0, 5.9]:
             direct = norm_cdf(-x) / norm_pdf(x)
             assert mills_ratio(x) == pytest.approx(direct, rel=1e-14)
 
     def test_branches_agree_at_switch(self):
-        # continued-fraction branch (used at x = 6) vs the direct formula
+        # erfcx form at x = 6 vs the direct formula
         direct = norm_cdf(-6.0) / norm_pdf(6.0)
         assert mills_ratio(6.0) == pytest.approx(direct, rel=1e-13)
 
@@ -151,6 +157,9 @@ class TestMillsRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mills_ratio(-40.0) == np.inf
+            # 1/phi overflows here before phi itself underflows
+            assert mills_ratio(-38.0) == np.inf
+            assert mills_ratio(-38.5) == np.inf
             assert h_function(-40.0) == -np.inf
             assert h_function(np.inf) == 1.0
             assert mills_ratio(np.array([-40.0, 0.0]))[0] == np.inf
@@ -164,6 +173,30 @@ class TestMillsRatio:
     def test_h_strictly_increasing(self):
         x = np.linspace(0.0, 30.0, 500)
         assert np.all(np.diff(h_function(x)) > 0.0)
+
+
+def _grid(function: str) -> tuple[np.ndarray, np.ndarray]:
+    with open(GRID_CSV, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["function"] == function]
+    x = np.array([float(r["x"]) for r in rows])
+    return x, np.array([float(r["value"]) for r in rows])
+
+
+class TestMpmathGrid:
+    def test_quantile_within_4_ulp(self):
+        # p uniform, log-uniform down to 1e-300, and near 1 up to 1 - 2**-53
+        p, ref = _grid("quantile")
+        assert len(p) == 1500
+        ulp = np.abs(norm_quantile(p) - ref) / np.spacing(np.abs(ref))
+        assert np.max(ulp) <= 4.0
+
+    def test_mills_relative_accuracy(self):
+        x, ref = _grid("mills")
+        assert len(x) == 612 and x.min() == -37.0 and x.max() == 1e4
+        rel = np.abs(mills_ratio(x) - ref) / ref
+        assert np.max(rel[x >= 0.0]) <= 2e-15
+        # the direct formula below 0: 5.6e-14 measured, near x = -34
+        assert np.max(rel[x < 0.0]) <= 6e-14
 
 
 class TestHermite:

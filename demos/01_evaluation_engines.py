@@ -1,4 +1,4 @@
-"""Evaluating the bivariate normal CDF four independent ways.
+"""Evaluating the bivariate normal CDF five independent ways.
 
 Every engine reaches the same surface from a different direction: a
 T-function split, two correlation-path integrals started from opposite ends,

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .copula import _lam, _slope, diag_cdf
-from .gauss import norm_cdf, norm_pdf, norm_quantile, _maybe_scalar
+from .gauss import norm_pdf, _maybe_scalar
 
 __all__ = [
     "DiagBoundKind",
@@ -67,9 +68,6 @@ class DiagApproxKind(enum.Enum):
     MEYER_REFINED = "meyer_refined"
 
 
-_LOWER_KINDS = {DiagBoundKind.LOWER_THM1, DiagBoundKind.LOWER_THM2}
-
-
 def _validate_wedge(u, rho, u_open_zero: bool = False):
     """(u, rho) as float arrays, and whether both came in as scalars."""
     u_arr = np.asarray(u, dtype=float)
@@ -85,8 +83,7 @@ def _validate_wedge(u, rho, u_open_zero: bool = False):
 
 def diag_bound(kind: DiagBoundKind, u, rho):
     """Evaluate one of the diagonal bounds on the wedge; vectorized."""
-    if not isinstance(kind, DiagBoundKind):
-        kind = DiagBoundKind(kind)
+    kind = DiagBoundKind(kind)
     u_arr, r_arr, scalar = _validate_wedge(u, rho)
     g = _slope(u_arr, r_arr)
     if kind is DiagBoundKind.LOWER_THM1:
@@ -104,8 +101,7 @@ def diag_bound(kind: DiagBoundKind, u, rho):
 
 def diag_approx(kind: DiagApproxKind, u, rho):
     """Evaluate one of the named diagonal approximations; vectorized."""
-    if not isinstance(kind, DiagApproxKind):
-        kind = DiagApproxKind(kind)
+    kind = DiagApproxKind(kind)
     u_arr, r_arr, scalar = _validate_wedge(u, rho, u_open_zero=True)
     u_b, r_b = np.broadcast_arrays(u_arr, r_arr)
 
@@ -118,21 +114,21 @@ def diag_approx(kind: DiagApproxKind, u, rho):
             factor = 1.0 + asin / np.pi + 0.5 * r_b + ((2.0 / np.pi) * asin - r_b) * u_b
         return _maybe_scalar(u_b * g * factor, scalar)
 
-    x = norm_quantile(u_b)
+    x = ndtri(u_b)
     if kind is DiagApproxKind.MALLOWS:
-        shift = norm_quantile(u_b / 2.0 + 0.25) - norm_quantile(0.75)
-        return _maybe_scalar(2.0 * u_b * norm_cdf(_lam(r_b) * shift), scalar)
+        shift = ndtri(u_b / 2.0 + 0.25) - ndtri(0.75)
+        return _maybe_scalar(2.0 * u_b * ndtr(_lam(r_b) * shift), scalar)
 
     pdf_x = norm_pdf(x)
     num = u_b * x + r_b * pdf_x
     if kind is DiagApproxKind.COX_WERMUTH:
-        return _maybe_scalar(u_b * norm_cdf(_lam(r_b) * num / ((1.0 + r_b) * u_b)), scalar)
+        return _maybe_scalar(u_b * ndtr(_lam(r_b) * num / ((1.0 + r_b) * u_b)), scalar)
 
     # MEE_OWEN: normal approximation matching the first two conditional moments.
     rad = u_b * u_b - r_b * r_b * pdf_x * (u_b * x + pdf_x)
     if np.any(rad <= 0.0):
         raise DomainError("conditional-moment approximation undefined here (radicand <= 0)")
-    return _maybe_scalar(u_b * norm_cdf(num / np.sqrt(rad)), scalar)
+    return _maybe_scalar(u_b * ndtr(num / np.sqrt(rad)), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +165,14 @@ class ScanReport:
         }
 
 
-def _candidate(kind) -> tuple[str, bool]:
-    """Resolve a kind (enum or tag) to (tag, needs_positive_u)."""
-    if isinstance(kind, (DiagBoundKind, DiagApproxKind)):
-        return kind.value, isinstance(kind, DiagApproxKind)
-    tag = str(kind)
+def _candidate(kind):
+    """Resolve a kind (enum or tag) to (tag, needs_positive_u, evaluate)."""
     try:
-        DiagBoundKind(tag)
-        return tag, False
+        member = DiagBoundKind(kind)
     except ValueError:
-        DiagApproxKind(tag)  # raises ValueError for unknown tags
-        return tag, True
-
-
-def _evaluate(tag: str, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    try:
-        return diag_bound(DiagBoundKind(tag), u, rho)
-    except ValueError:
-        return diag_approx(DiagApproxKind(tag), u, rho)
+        member = DiagApproxKind(kind)  # raises ValueError for unknown tags
+        return member.value, True, lambda u, rho: diag_approx(member, u, rho)
+    return member.value, False, lambda u, rho: diag_bound(member, u, rho)
 
 
 # The refinement zooms on the coarse argmax: each level evaluates a
@@ -213,14 +199,14 @@ def bound_error_scan(
     tensor grids over its +-1-cell bracket polishes the location to ~1e-10;
     the reported maximum is never below the coarse-grid one.
     """
-    tag, needs_pos_u = _candidate(kind)
+    tag, needs_pos_u, evaluate = _candidate(kind)
     if n_u < 2 or n_rho < 2:
         raise DomainError("scan grids need at least 2 points per axis")
     u = np.linspace(0.0, 0.5, n_u)
     if needs_pos_u:
         u = u[1:]
     rho = np.linspace(0.0, 1.0, n_rho)
-    signed = _evaluate(tag, u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
+    signed = evaluate(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
     min_signed = float(np.nanmin(signed))
     best_err = -1.0
     while True:
@@ -234,7 +220,7 @@ def bound_error_scan(
             break
         u = np.linspace(u_lo, u_hi, _ZOOM)
         rho = np.linspace(r_lo, r_hi, _ZOOM)
-        signed = _evaluate(tag, u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
+        signed = evaluate(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
     return ScanReport(
         kind=tag,
         max_abs_error=best_err,
@@ -252,7 +238,7 @@ def upper_thm3_stationary_rho() -> float:
     At u = 1/2 the gap rho -> 2u g(u/2) - C peaks where
     phi(lam(rho) q) = -(1 + rho) / (2 pi q), q = PhiInv(1/4); solved by
     bracketing rather than hard-coding the constant."""
-    q = norm_quantile(0.25)
+    q = ndtri(0.25)
 
     def f(rho: float) -> float:
         return norm_pdf(_lam(rho) * q) + (1.0 + rho) / (2.0 * np.pi * q)

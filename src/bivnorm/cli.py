@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, EngineRejected
 from .quadrature import QuadratureConfig
 from .engines import Phi2Method, phi2_cdf
-from .gauss import norm_cdf, norm_quantile
+from .gauss import norm_cdf
 from .owen import owen_t
 from .copula import (
     cond_cdf_given_u,

@@ -19,11 +19,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .engines import phi2_owen, validate_rho
 from .copula import copula_cdf, diag_cdf, halfline_cdf
-from .gauss import norm_cdf, norm_quantile
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_legendre
 
 __all__ = [
@@ -66,13 +66,9 @@ class MeasureValue:
         return measure_invert(self.measure, min(max(self.value, -1.0), 1.0))
 
 
-def _as_measure(measure) -> Measure:
-    return measure if isinstance(measure, Measure) else Measure(measure)
-
-
 def measure_closed_form(measure, rho: float) -> MeasureValue:
     """Closed-form value of a concordance measure at correlation rho."""
-    m = _as_measure(measure)
+    m = Measure(measure)
     r = validate_rho(rho)
     if m in (Measure.BLOMQVIST_BETA, Measure.KENDALL_TAU):
         value = (2.0 / np.pi) * np.arcsin(r)
@@ -112,9 +108,9 @@ _GRID_N = 512
 def _kendall_numeric(r: float) -> float:
     # 1 - 4 int int (dC/du)(dC/dv) du dv with the closed-form conditionals.
     x, w = gauss_legendre(_GRID_N)
-    x, w = norm_quantile(0.5 * (x + 1.0)), 0.5 * w
+    x, w = ndtri(0.5 * (x + 1.0)), 0.5 * w
     s = np.sqrt(1.0 - r * r)
-    cond_u = norm_cdf((x[None, :] - r * x[:, None]) / s)  # dC/du at (u_i, v_j)
+    cond_u = ndtr((x[None, :] - r * x[:, None]) / s)  # dC/du at (u_i, v_j)
     inner = (cond_u * cond_u.T) @ w  # dC/dv at (u_i, v_j) is dC/du at (u_j, v_i)
     return 1.0 - 4.0 * float(np.dot(w, inner))
 
@@ -124,7 +120,7 @@ def _spearman_numeric(r: float) -> float:
     # C(u, v) = C(v, u), so only the upper triangle is evaluated, and each
     # point off the diagonal counts twice.
     x, w = gauss_legendre(_GRID_N)
-    x, w = norm_quantile(0.5 * (x + 1.0)), 0.5 * w
+    x, w = ndtri(0.5 * (x + 1.0)), 0.5 * w
     i, j = np.triu_indices(_GRID_N)
     weight = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
     return 12.0 * float(np.dot(weight, phi2_owen(x[i], x[j], r))) - 3.0
@@ -139,7 +135,7 @@ def measure_numeric(measure, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG)
     anti-diagonal leg by C(u, 1-u; rho) = u - C(u, u; -rho)); gamma_tilde
     as 8 L(rho) - 2 with L the half-line moment integral.
     """
-    m = _as_measure(measure)
+    m = Measure(measure)
     r = validate_rho(rho)
     if abs(r) > 0.99:
         raise DomainError("numeric cross-checks require |rho| <= 0.99")
@@ -162,7 +158,7 @@ def measure_invert(measure, value: float) -> float:
     Four measures invert by plain arcsine algebra; Gini's gamma uses
     rho = sin(g pi/4) sqrt(3 - tan^2(g pi/4)).
     """
-    m = _as_measure(measure)
+    m = Measure(measure)
     x = float(value)
     if np.isnan(x) or abs(x) > 1.0:
         raise DomainError(f"measure values live in [-1, 1], got {value!r}")

@@ -4,6 +4,11 @@ C(u, v; rho) = Phi2(PhiInv(u), PhiInv(v); rho) together with its density,
 conditionals, symmetry group, the diagonal slope function g, and the
 reduction identities that relate general points, the half-line v = 1/2 and
 the diagonal u = v to each other.
+
+Each public function checks its arguments once, at entry; after that the
+values go to ``ndtri``, ``ndtr`` and ``owen._owen_t`` unchecked, on whole
+broadcast arrays. u in {0, 1} maps to -+inf, where T is 0 and Phi is 0 or
+1, so the closed forms give the exact boundary values with no masks.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .engines import Phi2Method, _one_factor, _phi2, validate_rho
-from .gauss import norm_cdf, norm_quantile, _as_float_array, _maybe_scalar, _validate_unit
-from .owen import owen_t
+from .gauss import _as_float_array, _maybe_scalar, _validate_unit
+from .owen import _owen_t
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_hermite, quad1d
 
 __all__ = [
@@ -56,10 +61,8 @@ def copula_cdf(
     uu, u_scalar = _validate_unit(u, "u")
     vv, v_scalar = _validate_unit(v, "v")
     r, r_scalar = _as_float_array(validate_rho(rho))
-    # One quantile call for both arguments halves its per-call overhead; 0
-    # and 1 map to -+inf, which _phi2 resolves to the exact margins.
-    h, k = norm_quantile(np.array(np.broadcast_arrays(uu, vv)))
-    out = _phi2(h, k, uu, vv, r, Phi2Method(method), cfg)
+    # 0 and 1 map to -+inf, which _phi2 resolves to the exact margins.
+    out = _phi2(ndtri(uu), ndtri(vv), uu, vv, r, Phi2Method(method), cfg)
     return _maybe_scalar(out, u_scalar and v_scalar and r_scalar)
 
 
@@ -73,7 +76,7 @@ def copula_density(u, v, rho):
     r = validate_rho(rho, interior=True)
     u_arr, us = _validate_unit(u, "u", interior=True)
     v_arr, vs = _validate_unit(v, "v", interior=True)
-    x, y = norm_quantile(np.array(np.broadcast_arrays(u_arr, v_arr)))
+    x, y = ndtri(u_arr), ndtri(v_arr)
     omr2 = 1.0 - r * r
     expo = (2.0 * r * x * y - r * r * (x * x + y * y)) / (2.0 * omr2)
     return _maybe_scalar(np.exp(expo) / np.sqrt(omr2), us and vs)
@@ -85,9 +88,9 @@ def cond_cdf_given_u(u, v, rho):
     r = validate_rho(rho, interior=True)
     u_arr, us = _validate_unit(u, "u", interior=True)
     v_arr, vs = _validate_unit(v, "v")
-    x = norm_quantile(u_arr)
-    y = norm_quantile(v_arr)
-    out = norm_cdf((y - r * x) / np.sqrt(1.0 - r * r))
+    x = ndtri(u_arr)
+    y = ndtri(v_arr)
+    out = ndtr((y - r * x) / np.sqrt(1.0 - r * r))
     return _maybe_scalar(out, us and vs)
 
 
@@ -115,12 +118,8 @@ class SymmetryImage:
     offset: float
     sign: int
 
-    def value(
-        self,
-        method: Phi2Method = Phi2Method.AUTO,
-        cfg: QuadratureConfig = DEFAULT_CONFIG,
-    ) -> float:
-        return self.offset + self.sign * copula_cdf(self.u, self.v, self.rho, method, cfg)
+    def value(self) -> float:
+        return self.offset + self.sign * copula_cdf(self.u, self.v, self.rho)
 
 
 def apply_symmetry(kind: SymmetryKind, u: float, v: float, rho: float) -> SymmetryImage:
@@ -134,8 +133,7 @@ def apply_symmetry(kind: SymmetryKind, u: float, v: float, rho: float) -> Symmet
     _validate_unit(u, "u")
     _validate_unit(v, "v")
     r = validate_rho(rho)
-    if not isinstance(kind, SymmetryKind):
-        kind = SymmetryKind(kind)
+    kind = SymmetryKind(kind)
     if kind is SymmetryKind.SWAP:
         return SymmetryImage(v, u, r, 0.0, +1)
     if kind is SymmetryKind.REFLECT_V:
@@ -157,15 +155,11 @@ def _lam(rho):
 
 
 def _slope(u, rho) -> np.ndarray:
-    # g(u; rho) for u in [0, 1] and rho in (-1, 1], broadcast. u = 0 and 1
-    # pass through as the limits; at rho = 1 the interior value is 1/2,
-    # which the bound scans need.
-    u_b, r_b = np.broadcast_arrays(u, rho)
-    out = np.array(u_b, dtype=float)
-    interior = (u_b > 0.0) & (u_b < 1.0)
-    if interior.any():
-        out[interior] = norm_cdf(_lam(r_b[interior]) * norm_quantile(u_b[interior]))
-    return out
+    # g(u; rho) for u in [0, 1] and rho in [-1, 1], broadcast. u = 0 and 1
+    # keep their limits, where lam * -+inf is NaN at rho = 1; at rho = 1 the
+    # interior value is 1/2, which the bound scans need.
+    with np.errstate(invalid="ignore"):
+        return np.where((u > 0.0) & (u < 1.0), ndtr(_lam(rho) * ndtri(u)), u)
 
 
 def diag_g(u, rho):
@@ -192,12 +186,7 @@ def diag_cdf(u, rho):
     """
     r_arr, r_scalar = _as_float_array(validate_rho(rho))
     u_arr, u_scalar = _validate_unit(u, "u")
-    u_b, r_b = np.broadcast_arrays(u_arr, r_arr)
-    out = np.array(u_b)
-    interior = (u_b > 0.0) & (u_b < 1.0)
-    if np.any(interior):
-        ui = u_b[interior]
-        out[interior] = ui - 2.0 * owen_t(norm_quantile(ui), _lam(r_b[interior]))
+    out = u_arr - 2.0 * _owen_t(ndtri(u_arr), _lam(r_arr))
     return _maybe_scalar(np.minimum(np.maximum(out, 0.0), 1.0), u_scalar and r_scalar)
 
 
@@ -209,14 +198,9 @@ def halfline_cdf(u, rho):
     """
     r_arr, r_scalar = _as_float_array(validate_rho(rho))
     u_arr, u_scalar = _validate_unit(u, "u")
-    u_b, r_b = np.broadcast_arrays(u_arr, r_arr)
-    out = np.where(u_b == 1.0, 0.5, 0.0)
-    interior = (u_b > 0.0) & (u_b < 1.0)
-    if np.any(interior):
-        ui, ri = u_b[interior], r_b[interior]
-        with np.errstate(divide="ignore"):
-            slope = -ri / np.sqrt(1.0 - ri * ri)
-        out[interior] = 0.5 * ui - owen_t(norm_quantile(ui), slope)
+    with np.errstate(divide="ignore"):
+        slope = -r_arr / np.sqrt(1.0 - r_arr * r_arr)
+    out = 0.5 * u_arr - _owen_t(ndtri(u_arr), slope)
     return _maybe_scalar(np.minimum(np.maximum(out, 0.0), 1.0), u_scalar and r_scalar)
 
 
@@ -252,8 +236,8 @@ def reduce_to_halflines(u: float, v: float, rho: float) -> HalflineReduction:
         _validate_unit(val, name, interior=True)
         if val == 0.5:
             raise DomainError(f"the half-line split is singular at {name} = 1/2")
-    h = norm_quantile(u)
-    k = norm_quantile(v)
+    h = ndtri(u)
+    k = ndtri(v)
     denom = np.sqrt(1.0 - r * r)
     a_u = (k / h - r) / denom
     a_v = (h / k - r) / denom
@@ -304,8 +288,8 @@ def _factor_integral_fixed(
     sa = np.sqrt(1.0 - alpha * alpha)
     sb = np.sqrt(1.0 - beta * beta)
     sg = np.sqrt(1.0 - gamma * gamma)
-    fy = norm_cdf((h - alpha * z) / sa)
-    inner = norm_cdf((k - beta * (gamma * z[:, None] + sg * z[None, :])) / sb) @ w
+    fy = ndtr((h - alpha * z) / sa)
+    inner = ndtr((k - beta * (gamma * z[:, None] + sg * z[None, :])) / sb) @ w
     return float(np.dot(w, fy * inner))
 
 
@@ -332,8 +316,8 @@ def copula_factor_integral(
     _validate_unit(v, "v")
     if u in (0.0, 1.0) or v in (0.0, 1.0):
         return copula_cdf(u, v, alpha * beta * gamma)
-    h = norm_quantile(u)
-    k = norm_quantile(v)
+    h = ndtri(u)
+    k = ndtri(v)
     lo, hi = _factor_orders(alpha, beta, gamma)
     coarse = _factor_integral_fixed(h, k, alpha, beta, gamma, lo)
     fine = _factor_integral_fixed(h, k, alpha, beta, gamma, hi)
@@ -357,7 +341,7 @@ def copula_single_factor(
     _validate_unit(v, "v")
     if u in (0.0, 1.0) or v in (0.0, 1.0):
         return copula_cdf(u, v, alpha * beta)
-    value = _one_factor(norm_quantile(u), norm_quantile(v), alpha, beta,
+    value = _one_factor(ndtri(u), ndtri(v), alpha, beta,
                         _factor_orders(alpha, beta), cfg, "single-factor integral")
     return float(np.clip(value, 0.0, 1.0))
 
@@ -385,8 +369,8 @@ def copula_cond_integral(
         u, v = v, u
     if u == 0.0:
         return 0.0
-    h = norm_quantile(u)
-    k = norm_quantile(v)
+    h = ndtri(u)
+    k = ndtri(v)
     s = math.sqrt(1.0 - r * r)
     coef = 1.0 / math.sqrt(2.0 * math.pi)
     return quad1d(lambda x: coef * math.exp(-0.5 * x * x) * ndtr((k - r * x) / s), -np.inf, h, cfg)

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .engines import Phi2Method, phi2_cdf
 from .copula import copula_cdf, diag_cdf
-from .gauss import norm_cdf, norm_pdf, norm_quantile, _as_float_array, _maybe_scalar, _validate_unit
+from .gauss import norm_pdf, _as_float_array, _maybe_scalar, _validate_unit
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = ["SkewNormal", "Vasicek"]
@@ -34,7 +35,7 @@ class SkewNormal:
     def pdf(self, x):
         """Density 2 phi(x) Phi(lam x); vectorized."""
         arr, scalar = _as_float_array(x)
-        return _maybe_scalar(2.0 * norm_pdf(arr) * norm_cdf(self.lam * arr), scalar)
+        return _maybe_scalar(2.0 * norm_pdf(arr) * ndtr(self.lam * arr), scalar)
 
     def cdf(
         self,
@@ -51,8 +52,8 @@ class SkewNormal:
         rho = (1 - lam^2) / (1 + lam^2), split by the sign of lam."""
         rho = (1.0 - self.lam**2) / (1.0 + self.lam**2)
         if self.lam >= 0.0:
-            return diag_cdf(norm_cdf(float(x)), rho)
-        return 1.0 - diag_cdf(norm_cdf(-float(x)), rho)
+            return diag_cdf(ndtr(float(x)), rho)
+        return 1.0 - diag_cdf(ndtr(-float(x)), rho)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class Vasicek:
 
     @property
     def probit_mean(self) -> float:
-        return norm_quantile(self.p) / np.sqrt(1.0 - self.rho)
+        return ndtri(self.p) / np.sqrt(1.0 - self.rho)
 
     @property
     def probit_variance(self) -> float:
@@ -85,8 +86,8 @@ class Vasicek:
     def cdf(self, q) -> float:
         """P(P <= q) = Phi((sqrt(1-rho) PhiInv(q) - PhiInv(p)) / sqrt(rho))."""
         arr, scalar = _validate_unit(q, "q")
-        out = norm_cdf(
-            (np.sqrt(1.0 - self.rho) * norm_quantile(arr) - norm_quantile(self.p))
+        out = ndtr(
+            (np.sqrt(1.0 - self.rho) * ndtri(arr) - ndtri(self.p))
             / np.sqrt(self.rho)
         )
         return _maybe_scalar(out, scalar)
@@ -94,22 +95,22 @@ class Vasicek:
     def quantile(self, alpha) -> float:
         """q_alpha = Phi((sqrt(rho) PhiInv(alpha) + PhiInv(p)) / sqrt(1-rho))."""
         arr, scalar = _validate_unit(alpha, "alpha")
-        out = norm_cdf(
-            (np.sqrt(self.rho) * norm_quantile(arr) + norm_quantile(self.p))
+        out = ndtr(
+            (np.sqrt(self.rho) * ndtri(arr) + ndtri(self.p))
             / np.sqrt(1.0 - self.rho)
         )
         return _maybe_scalar(out, scalar)
 
     def median(self) -> float:
         """Phi(PhiInv(p) / sqrt(1-rho)) = Phi(probit mean)."""
-        return float(norm_cdf(self.probit_mean))
+        return float(ndtr(self.probit_mean))
 
     def pdf(self, q) -> float:
         """Density sqrt((1-rho)/rho) phi((sqrt(1-rho) PhiInv(q) - PhiInv(p))
         / sqrt(rho)) / phi(PhiInv(q)) for interior q."""
         arr, scalar = _validate_unit(q, "q", interior=True)
-        x = norm_quantile(arr)
-        z = (np.sqrt(1.0 - self.rho) * x - norm_quantile(self.p)) / np.sqrt(self.rho)
+        x = ndtri(arr)
+        z = (np.sqrt(1.0 - self.rho) * x - ndtri(self.p)) / np.sqrt(self.rho)
         out = np.sqrt((1.0 - self.rho) / self.rho) * norm_pdf(z) / norm_pdf(x)
         return _maybe_scalar(out, scalar)
 
@@ -128,7 +129,7 @@ class Vasicek:
         if self.rho >= 0.5:
             raise DomainError(f"no interior mode for rho >= 1/2 (shape: {self.shape()})")
         return float(
-            norm_cdf(np.sqrt(1.0 - self.rho) / (1.0 - 2.0 * self.rho) * norm_quantile(self.p))
+            ndtr(np.sqrt(1.0 - self.rho) / (1.0 - 2.0 * self.rho) * ndtri(self.p))
         )
 
     # -- moments -------------------------------------------------------------

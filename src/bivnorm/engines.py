@@ -38,8 +38,8 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .errors import DomainError, EngineRejected
-from .gauss import norm_cdf, norm_pdf, _as_float_array, _maybe_scalar
-from .owen import owen_t
+from .gauss import norm_pdf, _as_float_array, _maybe_scalar
+from .owen import _owen_t
 from .quadrature import (
     DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_hermite, gauss_legendre, quad1d,
 )
@@ -129,45 +129,28 @@ def phi2_owen(h, k, rho):
     k = 0 sends the corresponding slope to +-inf, which the T-function
     absorbs as its one-sided limit; the sign follows the other argument.
     The convention for delta at exactly 1/2 matches the displayed case
-    split, with "u >= 1/2" containing the boundary.
+    split, with "u >= 1/2" containing the boundary. h, k and rho broadcast.
     """
     r = validate_rho(rho, interior=True)
     h_arr, hs = _as_float_array(h)
     k_arr, ks = _as_float_array(k)
-    h_b, k_b, r_b = np.broadcast_arrays(h_arr, k_arr, r)
-    shape = h_b.shape
-    h_b = np.asarray(h_b, dtype=float).ravel()
-    k_b = np.asarray(k_b, dtype=float).ravel()
-    if not (np.all(np.isfinite(h_b)) and np.all(np.isfinite(k_b))):
+    if not (np.all(np.isfinite(h_arr)) and np.all(np.isfinite(k_arr))):
         raise DomainError("phi2_owen requires finite arguments")
-    # A scalar rho stays one float; an array rho is taken point by point.
-    per_point = np.ndim(r) > 0
-    if per_point:
-        r = r_b.ravel()
-
-    u = norm_cdf(h_b)
-    v = norm_cdf(k_b)
+    # Adding 0.0 turns -0.0 into +0.0, so a zero argument sends its slope to
+    # +-inf with the sign of the other one; T(0, +-inf) = +-1/4.
+    h_arr, k_arr = h_arr + 0.0, k_arr + 0.0
+    u = ndtr(h_arr)
+    v = ndtr(k_arr)
     denom = np.sqrt(1.0 - r * r)
-
-    out = np.empty_like(h_b)
-    center = (h_b == 0.0) & (k_b == 0.0)
-    if np.any(center):
-        out[center] = 0.25 + np.arcsin(r[center] if per_point else r) / _TWO_PI
-
-    rest = ~center
-    if np.any(rest):
-        # Adding 0.0 turns -0.0 into +0.0, so a zero argument sends its slope
-        # to +-inf with the sign of the other one; T(0, +-inf) = +-1/4.
-        hh, kk = h_b[rest] + 0.0, k_b[rest] + 0.0
-        rr, dd = (r[rest], denom[rest]) if per_point else (r, denom)
-        with np.errstate(divide="ignore"):
-            a_h = (kk / hh - rr) / dd
-            a_k = (hh / kk - rr) / dd
-        delta = 0.5 * ((hh < 0.0) != (kk < 0.0))
-        out[rest] = 0.5 * (u[rest] + v[rest]) - owen_t(hh, a_h) - owen_t(kk, a_k) - delta
-
+    # h = k = 0 gives 0/0 slopes; the centre value replaces that NaN below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_h = (k_arr / h_arr - r) / denom
+        a_k = (h_arr / k_arr - r) / denom
+    delta = 0.5 * ((h_arr < 0.0) != (k_arr < 0.0))
+    out = 0.5 * (u + v) - _owen_t(h_arr, a_h) - _owen_t(k_arr, a_k) - delta
+    out = np.where((h_arr == 0.0) & (k_arr == 0.0), 0.25 + np.arcsin(r) / _TWO_PI, out)
     out = np.clip(out, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
-    return _maybe_scalar(out.reshape(shape), hs and ks and not per_point)
+    return _maybe_scalar(out, hs and ks and np.ndim(r) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +166,7 @@ def _plackett_from_independence(h: float, k: float, rho: float, cfg: QuadratureC
         omr2 = 1.0 - r * r
         return math.exp((b * r - a) / omr2) / (_TWO_PI * math.sqrt(omr2))
 
-    return norm_cdf(h) * norm_cdf(k) + quad1d(integrand, 0.0, rho, cfg)
+    return ndtr(h) * ndtr(k) + quad1d(integrand, 0.0, rho, cfg)
 
 
 def _plackett_from_max(h: float, k: float, rho: float, cfg: QuadratureConfig) -> float:
@@ -219,7 +202,7 @@ def _plackett_from_max(h: float, k: float, rho: float, cfg: QuadratureConfig) ->
         s0 *= 16.0
     edges.append(1.0)
     pieces = sum(quad1d(integrand, a, b, cfg) for a, b in zip(edges, edges[1:]))
-    return min(norm_cdf(h), norm_cdf(k)) - pieces
+    return min(ndtr(h), ndtr(k)) - pieces
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +231,7 @@ def _tetrachoric(h: float, k: float, rho: float, cfg: QuadratureConfig) -> float
         c *= rho / (m + 2)
     # Odd/even Hermite zeros make single terms vanish spuriously; the tail
     # estimate takes the larger of the last two.
-    value = norm_cdf(h) * norm_cdf(k) + scale * total
+    value = ndtr(h) * ndtr(k) + scale * total
     _enforce(max(last_terms) * scale, value, cfg, f"tetrachoric series of {_SERIES_TERMS} terms")
     return value
 
@@ -265,7 +248,7 @@ def _one_factor(h: float, k: float, alpha: float, beta: float, orders: tuple[int
     sa = math.sqrt(1.0 - alpha * alpha)
     sb = math.sqrt(1.0 - beta * beta)
     coarse, fine = [
-        float(np.dot(w, norm_cdf((h - alpha * z) / sa) * norm_cdf((k - beta * z) / sb)))
+        float(np.dot(w, ndtr((h - alpha * z) / sa) * ndtr((k - beta * z) / sb)))
         for z, w in map(gauss_hermite, orders)
     ]
     _enforce(abs(fine - coarse), fine, cfg, what)

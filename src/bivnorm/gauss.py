@@ -49,9 +49,21 @@ def _validate_unit(x, name: str, interior: bool = False) -> tuple[np.ndarray, bo
 
 
 def norm_pdf(x):
-    """Standard normal density phi(x) = exp(-x^2/2) / sqrt(2 pi)."""
+    """Standard normal density phi(x) = exp(-x^2/2) / sqrt(2 pi).
+
+    x is split as hi + (x - hi) with hi on a 2**-16 grid, so hi * hi is
+    exact and exp(-x^2/2) = exp(-hi^2/2) exp(-(x - hi)(x + hi)/2) loses
+    nothing to the rounding of x * x, which a direct exp(-x * x / 2) turns
+    into a relative error of ~x^2/2 ulp (5.7e-14 near x = -37). Against
+    40-digit mpmath the worst relative error on [-37, 37] is 4.4e-16.
+    """
     arr, scalar = _as_float_array(x)
-    return _maybe_scalar(np.exp(-0.5 * arr * arr) / _SQRT_2PI, scalar)
+    # phi(40) < 1e-348 underflows to 0, so clipping there changes no result
+    # and keeps x * 65536 and the split finite at +-inf.
+    a = np.minimum(np.abs(arr), 40.0)
+    hi = np.trunc(a * 65536.0) / 65536.0
+    out = np.exp(-0.5 * hi * hi) * np.exp(-0.5 * (a - hi) * (a + hi)) / _SQRT_2PI
+    return _maybe_scalar(out, scalar)
 
 
 def norm_cdf(x):
@@ -82,8 +94,8 @@ def mills_ratio(x):
 
     For x >= 0 it is sqrt(pi/2) erfcx(x / sqrt 2); for x < 0 it is the direct
     formula with the reflected CDF. On the committed mpmath grid the worst
-    relative error is 8.9e-16 on [0, 1e4] (held to 2e-15) and 5.6e-14 on
-    [-37, 0) (held to 6e-14). R overflows to +inf below about x = -37.7.
+    relative error is 8.9e-16 on [0, 1e4] and 4.3e-16 on [-37, 0), both
+    held to 2e-15. R overflows to +inf below about x = -37.7.
     """
     arr, scalar = _as_float_array(x)
     small = arr < _MILLS_SWITCH

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .engines import validate_rho
-from .gauss import norm_cdf, norm_quantile, _validate_unit
+from .gauss import _validate_unit
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce
 
 __all__ = [
@@ -150,8 +151,8 @@ def mc_factor_model(model: FactorModel, mc: McConfig = McConfig()) -> McEstimate
     c_g = np.sqrt(1.0 - model.gamma**2)
     c_a = np.sqrt(1.0 - model.alpha**2)
     c_b = np.sqrt(1.0 - model.beta**2)
-    t_u = norm_quantile(model.u)
-    t_v = norm_quantile(model.v)
+    t_u = ndtri(model.u)
+    t_v = ndtri(model.v)
     hits = 0
     remaining = mc.n_paths
     for rng in _block_rngs(mc):
@@ -173,14 +174,14 @@ def mc_conditional_probability(model: FactorModel, mc: McConfig = McConfig()) ->
     The conditional hit probability given the factor; its expectation is u,
     which makes this a useful smoke check of the factor construction."""
     c_a = np.sqrt(1.0 - model.alpha**2)
-    t_u = norm_quantile(model.u)
+    t_u = ndtri(model.u)
     total = 0.0
     total_sq = 0.0
     remaining = mc.n_paths
     for rng in _block_rngs(mc):
         n = min(_BLOCK_SIZE, remaining)
         remaining -= n
-        p = norm_cdf((t_u - model.alpha * rng.standard_normal(n)) / c_a)
+        p = ndtr((t_u - model.alpha * rng.standard_normal(n)) / c_a)
         total += float(np.sum(p))
         total_sq += float(np.sum(p * p))
     mean = total / mc.n_paths

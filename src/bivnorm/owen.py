@@ -6,6 +6,10 @@ is the one-dimensional workhorse behind the half-plane decomposition of the
 bivariate normal CDF: every line, diagonal, and general-point formula in the
 copula layer reduces to a couple of T evaluations. The values come from
 :func:`scipy.special.owens_t` (the Patefield-Tandy algorithm).
+
+The public functions check their arguments; the package's own callers pass
+values they have already checked to :func:`_owen_t`, which checks nothing
+and also takes h = +-inf, where T is 0.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ from .errors import DomainError
 from .gauss import _as_float_array, _maybe_scalar
 
 __all__ = ["owen_t", "owen_t_unbounded"]
+
+
+def _owen_t(h, a):
+    """T(h, a) on arrays that broadcast, with no checks: odd in a, even in h."""
+    return np.sign(a) * owens_t(np.abs(h), np.abs(a))
 
 
 def owen_t(h, a):
@@ -32,8 +41,7 @@ def owen_t(h, a):
         raise DomainError("owen_t requires finite h")
     if np.any(np.isnan(a_arr)):
         raise DomainError("owen_t requires a to be a number or +-inf")
-    out = np.sign(a_arr) * owens_t(np.abs(h_arr), np.abs(a_arr))
-    return _maybe_scalar(out, h_scalar and a_scalar)
+    return _maybe_scalar(_owen_t(h_arr, a_arr), h_scalar and a_scalar)
 
 
 def owen_t_unbounded(h, sign: int):
@@ -43,4 +51,4 @@ def owen_t_unbounded(h, sign: int):
     arr, scalar = _as_float_array(h)
     if not np.all(np.isfinite(arr)):
         raise DomainError("owen_t_unbounded requires finite h")
-    return _maybe_scalar(sign * owens_t(np.abs(arr), np.inf), scalar)
+    return _maybe_scalar(_owen_t(arr, sign * np.inf), scalar)

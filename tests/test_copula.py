@@ -1,6 +1,8 @@
 """Copula layer tests: boundary exactness, symmetries, conditionals,
 diagonal machinery, reduction identities, and factor-form integrals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -460,6 +462,30 @@ class TestHalfline:
         assert halfline_cdf(0.8, 1.0) == pytest.approx(0.5, abs=1e-15)
         assert halfline_cdf(0.3, -1.0) == 0.0
         assert halfline_cdf(0.8, -1.0) == pytest.approx(0.3, abs=1e-15)
+
+
+class TestSectionEndpoints:
+    """The closed forms give the exact values at u in {0, 1} as IEEE limits
+    (PhiInv(0) = -inf, T(+-inf, a) = 0), across the whole rho range."""
+
+    RHOS = [-1.0, -0.97, -0.0, 0.0, 0.5, 1.0]
+
+    def test_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for rho in self.RHOS:
+                assert (diag_cdf(0.0, rho), diag_cdf(1.0, rho)) == (0.0, 1.0)
+                assert (halfline_cdf(0.0, rho), halfline_cdf(1.0, rho)) == (0.0, 0.5)
+                assert (diag_g(0.0, rho), diag_g(1.0, rho)) == (0.0, 1.0)
+            u = np.array([0.0, 0.3, 1.0])[:, None]
+            rho = np.array(self.RHOS)
+            diag, half = diag_cdf(u, rho), halfline_cdf(u, rho)
+            g = diag_g(u[::2], rho)
+        assert (diag[0] == 0.0).all() and (diag[2] == 1.0).all()
+        assert (half[0] == 0.0).all() and (half[2] == 0.5).all()
+        assert (g[0] == 0.0).all() and (g[1] == 1.0).all()
+        assert np.array_equal(diag[1], [diag_cdf(0.3, r) for r in self.RHOS])
+        assert np.array_equal(half[1], [halfline_cdf(0.3, r) for r in self.RHOS])
 
 
 class TestReductions:

@@ -200,8 +200,11 @@ def bound_error_scan(
     the reported maximum is never below the coarse-grid one.
     """
     tag, needs_pos_u, evaluate = _candidate(kind)
-    if n_u < 2 or n_rho < 2:
-        raise DomainError("scan grids need at least 2 points per axis")
+    # The approximations drop u = 0, so they need one u point more.
+    if n_u < 2 + needs_pos_u or n_rho < 2:
+        raise DomainError(
+            "scan grids need at least 2 points per axis, not counting u = 0 for approximations"
+        )
     u = np.linspace(0.0, 0.5, n_u)
     if needs_pos_u:
         u = u[1:]

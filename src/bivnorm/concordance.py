@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -66,10 +67,18 @@ class MeasureValue:
         return measure_invert(self.measure, min(max(self.value, -1.0), 1.0))
 
 
+def _scalar_rho(rho) -> float:
+    # The measures and moment integrals are scalar-only.
+    r = validate_rho(rho)
+    if not isinstance(r, float):
+        raise DomainError(f"correlation must be a scalar here, got {rho!r}")
+    return r
+
+
 def measure_closed_form(measure, rho: float) -> MeasureValue:
     """Closed-form value of a concordance measure at correlation rho."""
     m = Measure(measure)
-    r = validate_rho(rho)
+    r = _scalar_rho(rho)
     if m in (Measure.BLOMQVIST_BETA, Measure.KENDALL_TAU):
         value = (2.0 / np.pi) * np.arcsin(r)
     elif m is Measure.SPEARMAN_RHO:
@@ -86,7 +95,7 @@ def gini_forms(rho: float) -> tuple[float, float, float]:
     ~1e-15 for |rho| <= 0.99; keeping all three exercises the arcsine
     addition identity). Near |rho| = 1 the first magnifies the rounding of
     1 +- rho (3.5e-11 at 1 - 1e-12), so measure_closed_form uses the second."""
-    r = validate_rho(rho)
+    r = _scalar_rho(rho)
     f1 = (2.0 / np.pi) * (np.arcsin(0.5 * (1.0 + r)) - np.arcsin(0.5 * (1.0 - r)))
     f2 = (4.0 / np.pi) * (
         np.arcsin(0.5 * np.sqrt(1.0 + r)) - np.arcsin(0.5 * np.sqrt(1.0 - r))
@@ -101,14 +110,33 @@ def gini_forms(rho: float) -> tuple[float, float, float]:
 # numeric cross-checks from the defining integrals
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre order on [0, 1]; even order keeps nodes off u = 1/2.
-_GRID_N = 512
+# Order of the rule of the tau and Spearman integrals. C(u, v) has singular
+# derivatives at u, v in {0, 1}, where a plain rule in u converges only
+# algebraically; u = sin^2(theta) flattens them (Sidi's sin^m transformation).
+_SINE_N = 128
+
+
+@cache
+def _sine_rule() -> tuple[np.ndarray, ...]:
+    """Nodes x = PhiInv(u) and weights of Gauss-Legendre in t on [-1, 1]
+    mapped by u = sin^2(pi (t + 1) / 4), then the upper triangle of its
+    tensor grid: nodes (x_i, x_j), i <= j, and weights w_i w_j, doubled off
+    the diagonal. x is made exactly antisymmetric, as u(-t) = 1 - u(t)."""
+    t, w = gauss_legendre(_SINE_N)
+    theta = 0.25 * np.pi * (t + 1.0)
+    x = ndtri(np.sin(theta) ** 2)
+    x = 0.5 * (x - x[::-1])
+    w = w * (0.25 * np.pi) * np.sin(2.0 * theta)
+    i, j = np.triu_indices(_SINE_N)
+    rule = (x, w, x[i], x[j], np.where(i == j, 1.0, 2.0) * w[i] * w[j])
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _kendall_numeric(r: float) -> float:
     # 1 - 4 int int (dC/du)(dC/dv) du dv with the closed-form conditionals.
-    x, w = gauss_legendre(_GRID_N)
-    x, w = ndtri(0.5 * (x + 1.0)), 0.5 * w
+    x, w = _sine_rule()[:2]
     s = np.sqrt(1.0 - r * r)
     cond_u = ndtr((x[None, :] - r * x[:, None]) / s)  # dC/du at (u_i, v_j)
     inner = (cond_u * cond_u.T) @ w  # dC/dv at (u_i, v_j) is dC/du at (u_j, v_i)
@@ -116,14 +144,10 @@ def _kendall_numeric(r: float) -> float:
 
 
 def _spearman_numeric(r: float) -> float:
-    # 12 int int C(u, v) du dv - 3, on a tensor grid of the fast engine;
-    # C(u, v) = C(v, u), so only the upper triangle is evaluated, and each
-    # point off the diagonal counts twice.
-    x, w = gauss_legendre(_GRID_N)
-    x, w = ndtri(0.5 * (x + 1.0)), 0.5 * w
-    i, j = np.triu_indices(_GRID_N)
-    weight = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
-    return 12.0 * float(np.dot(weight, phi2_owen(x[i], x[j], r))) - 3.0
+    # 12 int int C(u, v) du dv - 3 by phi2_owen; C(u, v) = C(v, u), so only
+    # the upper triangle of the tensor grid is evaluated.
+    xi, xj, weight = _sine_rule()[2:]
+    return 12.0 * float(np.dot(weight, phi2_owen(xi, xj, r))) - 3.0
 
 
 def measure_numeric(measure, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> MeasureValue:
@@ -134,9 +158,16 @@ def measure_numeric(measure, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG)
     gamma as 4 (D(rho) - D(-rho)) with D the diagonal moment integral (the
     anti-diagonal leg by C(u, 1-u; rho) = u - C(u, u; -rho)); gamma_tilde
     as 8 L(rho) - 2 with L the half-line moment integral.
+
+    Beta, Gini's gamma and gamma_tilde honour ``cfg`` and raise
+    ConvergenceError when they miss it: beta through the auto kernel's fixed
+    error floor, the two gammas through the two-level rule of the moment
+    integrals. Tau and Spearman use one fixed 128-node sine-graded rule and
+    ignore ``cfg``; over 91 rho in [-0.99, 0.99] they are at most 5.2e-10
+    (tau) and 5.1e-14 (Spearman) from the closed forms.
     """
     m = Measure(measure)
-    r = validate_rho(rho)
+    r = _scalar_rho(rho)
     if abs(r) > 0.99:
         raise DomainError("numeric cross-checks require |rho| <= 0.99")
     if m is Measure.BLOMQVIST_BETA:
@@ -178,6 +209,9 @@ def measure_invert(measure, value: float) -> float:
 # moment integrals along the diagonal and the half-line
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre order on each panel of the moment integrals.
+_GRID_N = 512
+
 # Levels of the moment integrals: the _GRID_N-point rule on the halves, then
 # on the quarters, of [0, 1]; both have a panel edge at u = 1/2, where the
 # diagonal has a kink at rho = -1 and the half-line at |rho| = 1. Halves at
@@ -202,14 +236,14 @@ def _panel_integral(section, cfg: QuadratureConfig, what: str) -> float:
 def diag_integral(rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int_0^1 C(u, u; rho) du by Gauss-Legendre on the halves and on the
     quarters of [0, 1]; raises ConvergenceError when the two miss ``cfg``."""
-    r = validate_rho(rho)
+    r = _scalar_rho(rho)
     return _panel_integral(lambda t: diag_cdf(t, r), cfg, "diagonal integral")
 
 
 def halfline_integral(rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int_0^1 C(u, 1/2; rho) du by Gauss-Legendre on the halves and on the
     quarters of [0, 1]; raises ConvergenceError when the two miss ``cfg``."""
-    r = validate_rho(rho)
+    r = _scalar_rho(rho)
     return _panel_integral(lambda t: halfline_cdf(t, r), cfg, "half-line integral")
 
 

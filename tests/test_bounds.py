@@ -194,6 +194,14 @@ class TestScans:
     def test_scan_grid_validation(self):
         with pytest.raises(DomainError):
             bound_error_scan(B.LOWER_THM1, n_u=1)
+        with pytest.raises(DomainError):
+            bound_error_scan(B.LOWER_THM1, n_rho=1)
+        # the approximations drop u = 0, so n_u = 2 would scan u = 1/2 alone
+        for kind in A:
+            with pytest.raises(DomainError):
+                bound_error_scan(kind, n_u=2, n_rho=2)
+            assert bound_error_scan(kind, n_u=3, n_rho=2).n_u == 3
+        assert bound_error_scan(B.LOWER_THM1, n_u=2, n_rho=2).n_u == 2
 
 
 class TestScanRefinement:

@@ -102,12 +102,37 @@ class TestNumericCrossChecks:
         with pytest.raises(ConvergenceError):
             measure_numeric("gini_gamma", 0.5, tight)
 
+    @pytest.mark.parametrize(
+        "measure, tol", [(Measure.SPEARMAN_RHO, 2e-13), (Measure.KENDALL_TAU, 2e-9)]
+    )
+    def test_graded_rule_accuracy(self, measure, tol):
+        # The fixed sine-graded rule of tau and Spearman, against the closed
+        # forms; its antisymmetric nodes keep m(rho) + m(-rho) and m(0) at
+        # rounding level.
+        for rho in np.append(np.linspace(-0.99, 0.99, 45), 0.0):
+            value = measure_numeric(measure, rho).value
+            assert abs(value - measure_closed_form(measure, rho).value) <= tol
+            assert abs(value + measure_numeric(measure, -rho).value) <= 2e-13
+        assert abs(measure_numeric(measure, 0.0).value) <= 1e-13
+
     def test_kendall_at_zero(self):
         assert abs(measure_numeric(Measure.KENDALL_TAU, 0.0).value) < 1e-8
 
     def test_range_guard(self):
         with pytest.raises(DomainError):
             measure_numeric(Measure.KENDALL_TAU, 0.999)
+
+    @pytest.mark.parametrize("rho", [np.array([0.1, 0.2]), np.array([0.1])])
+    def test_array_rho_rejected(self, rho):
+        for call in (
+            lambda: measure_numeric(Measure.SPEARMAN_RHO, rho),
+            lambda: measure_closed_form(Measure.KENDALL_TAU, rho),
+            lambda: gini_forms(rho),
+            lambda: diag_integral(rho),
+            lambda: halfline_integral(rho),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestInversion:

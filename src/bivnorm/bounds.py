@@ -31,7 +31,7 @@ upper bound, ~0.015 at rho ~ 0.5961 for the half-argument bound).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -68,67 +68,71 @@ class DiagApproxKind(enum.Enum):
     MEYER_REFINED = "meyer_refined"
 
 
-def _validate_wedge(u, rho, u_open_zero: bool = False):
-    """(u, rho) as float arrays, and whether both came in as scalars."""
+def _mee_owen(u, rho):
+    # Normal approximation matching the first two conditional moments.
+    x = ndtri(u)
+    pdf_x = norm_pdf(x)
+    rad = u * u - rho * rho * pdf_x * (u * x + pdf_x)
+    if np.any(rad <= 0.0):
+        raise DomainError("conditional-moment approximation undefined here (radicand <= 0)")
+    return u * ndtr((u * x + rho * pdf_x) / np.sqrt(rad))
+
+
+def _cox_wermuth(u, rho):
+    x = ndtri(u)
+    return u * ndtr(_lam(rho) * (u * x + rho * norm_pdf(x)) / ((1.0 + rho) * u))
+
+
+# One formula per kind. Each takes checked (u, rho) arrays that broadcast and
+# computes a factor of u alone or of rho alone on that argument's own axis.
+_FORMULAS = {
+    DiagBoundKind.LOWER_THM1: lambda u, rho: u * _slope(u, rho),
+    DiagBoundKind.UPPER_THM1: lambda u, rho: 2.0 * u * _slope(u, rho),
+    DiagBoundKind.LOWER_THM2: lambda u, rho: (
+        u * _slope(u, rho) * (1.0 + (2.0 / np.pi) * np.arcsin(rho))
+    ),
+    DiagBoundKind.UPPER_THM2: lambda u, rho: u * _slope(u, rho) * (1.0 + rho),
+    DiagBoundKind.UPPER_THM3: lambda u, rho: 2.0 * u * _slope(u / 2.0, rho),
+    DiagApproxKind.MEE_OWEN: _mee_owen,
+    DiagApproxKind.COX_WERMUTH: _cox_wermuth,
+    DiagApproxKind.MALLOWS: lambda u, rho: (
+        2.0 * u * ndtr(_lam(rho) * (ndtri(u / 2.0 + 0.25) - ndtri(0.75)))
+    ),
+    DiagApproxKind.MEYER_TIGHT: lambda u, rho: u * _slope(u, rho) * (
+        1.0 + rho + ((4.0 / np.pi) * np.arcsin(rho) - 2.0 * rho) * u
+    ),
+    DiagApproxKind.MEYER_REFINED: lambda u, rho: u * _slope(u, rho) * (
+        1.0 + np.arcsin(rho) / np.pi + 0.5 * rho + ((2.0 / np.pi) * np.arcsin(rho) - rho) * u
+    ),
+}
+
+
+def _open_at_zero(member) -> bool:
+    # The approximations take PhiInv(u) or divide by u, so they exclude u = 0.
+    return isinstance(member, DiagApproxKind)
+
+
+def _evaluate(member, u, rho):
+    """Check (u, rho) against the wedge once, then evaluate member's formula."""
     u_arr = np.asarray(u, dtype=float)
     r_arr = np.asarray(rho, dtype=float)
-    lo_ok = (u_arr > 0.0) if u_open_zero else (u_arr >= 0.0)
+    open_zero = _open_at_zero(member)
+    lo_ok = (u_arr > 0.0) if open_zero else (u_arr >= 0.0)
     if np.any(~lo_ok) or np.any(u_arr > 0.5) or np.any(np.isnan(u_arr)):
-        lo = "(0" if u_open_zero else "[0"
-        raise DomainError(f"u must lie in {lo}, 1/2], got {u!r}")
+        raise DomainError(f"u must lie in {'(0' if open_zero else '[0'}, 1/2], got {u!r}")
     if np.any(r_arr < 0.0) or np.any(r_arr > 1.0) or np.any(np.isnan(r_arr)):
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
-    return u_arr, r_arr, u_arr.ndim == 0 and r_arr.ndim == 0
+    return _maybe_scalar(_FORMULAS[member](u_arr, r_arr), u_arr.ndim == 0 and r_arr.ndim == 0)
 
 
 def diag_bound(kind: DiagBoundKind, u, rho):
     """Evaluate one of the diagonal bounds on the wedge; vectorized."""
-    kind = DiagBoundKind(kind)
-    u_arr, r_arr, scalar = _validate_wedge(u, rho)
-    g = _slope(u_arr, r_arr)
-    if kind is DiagBoundKind.LOWER_THM1:
-        out = u_arr * g
-    elif kind is DiagBoundKind.UPPER_THM1:
-        out = 2.0 * u_arr * g
-    elif kind is DiagBoundKind.LOWER_THM2:
-        out = u_arr * g * (1.0 + (2.0 / np.pi) * np.arcsin(r_arr))
-    elif kind is DiagBoundKind.UPPER_THM2:
-        out = u_arr * g * (1.0 + r_arr)
-    else:  # UPPER_THM3
-        out = 2.0 * u_arr * _slope(u_arr / 2.0, r_arr)
-    return _maybe_scalar(out, scalar)
+    return _evaluate(DiagBoundKind(kind), u, rho)
 
 
 def diag_approx(kind: DiagApproxKind, u, rho):
     """Evaluate one of the named diagonal approximations; vectorized."""
-    kind = DiagApproxKind(kind)
-    u_arr, r_arr, scalar = _validate_wedge(u, rho, u_open_zero=True)
-    u_b, r_b = np.broadcast_arrays(u_arr, r_arr)
-
-    if kind in (DiagApproxKind.MEYER_TIGHT, DiagApproxKind.MEYER_REFINED):
-        g = _slope(u_b, r_b)
-        asin = np.arcsin(r_b)
-        if kind is DiagApproxKind.MEYER_TIGHT:
-            factor = 1.0 + r_b + ((4.0 / np.pi) * asin - 2.0 * r_b) * u_b
-        else:
-            factor = 1.0 + asin / np.pi + 0.5 * r_b + ((2.0 / np.pi) * asin - r_b) * u_b
-        return _maybe_scalar(u_b * g * factor, scalar)
-
-    x = ndtri(u_b)
-    if kind is DiagApproxKind.MALLOWS:
-        shift = ndtri(u_b / 2.0 + 0.25) - ndtri(0.75)
-        return _maybe_scalar(2.0 * u_b * ndtr(_lam(r_b) * shift), scalar)
-
-    pdf_x = norm_pdf(x)
-    num = u_b * x + r_b * pdf_x
-    if kind is DiagApproxKind.COX_WERMUTH:
-        return _maybe_scalar(u_b * ndtr(_lam(r_b) * num / ((1.0 + r_b) * u_b)), scalar)
-
-    # MEE_OWEN: normal approximation matching the first two conditional moments.
-    rad = u_b * u_b - r_b * r_b * pdf_x * (u_b * x + pdf_x)
-    if np.any(rad <= 0.0):
-        raise DomainError("conditional-moment approximation undefined here (radicand <= 0)")
-    return _maybe_scalar(u_b * ndtr(num / np.sqrt(rad)), scalar)
+    return _evaluate(DiagApproxKind(kind), u, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +158,7 @@ class ScanReport:
     n_rho: int
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "max_abs_error": self.max_abs_error,
-            "u_at_max": self.u_at_max,
-            "rho_at_max": self.rho_at_max,
-            "min_signed_error": self.min_signed_error,
-            "n_u": self.n_u,
-            "n_rho": self.n_rho,
-        }
-
-
-def _candidate(kind):
-    """Resolve a kind (enum or tag) to (tag, needs_positive_u, evaluate)."""
-    try:
-        member = DiagBoundKind(kind)
-    except ValueError:
-        member = DiagApproxKind(kind)  # raises ValueError for unknown tags
-        return member.value, True, lambda u, rho: diag_approx(member, u, rho)
-    return member.value, False, lambda u, rho: diag_bound(member, u, rho)
+        return asdict(self)
 
 
 # The refinement zooms on the coarse argmax: each level evaluates a
@@ -199,17 +185,23 @@ def bound_error_scan(
     tensor grids over its +-1-cell bracket polishes the location to ~1e-10;
     the reported maximum is never below the coarse-grid one.
     """
-    tag, needs_pos_u, evaluate = _candidate(kind)
-    # The approximations drop u = 0, so they need one u point more.
-    if n_u < 2 + needs_pos_u or n_rho < 2:
+    try:
+        member = DiagBoundKind(kind)
+    except ValueError:
+        member = DiagApproxKind(kind)  # raises ValueError for unknown tags
+    formula = _FORMULAS[member]
+    # The grids below lie on the wedge by construction, so the formula runs
+    # unchecked. The approximations drop u = 0, so they need one u point more.
+    open_zero = _open_at_zero(member)
+    if n_u < 2 + open_zero or n_rho < 2:
         raise DomainError(
             "scan grids need at least 2 points per axis, not counting u = 0 for approximations"
         )
     u = np.linspace(0.0, 0.5, n_u)
-    if needs_pos_u:
+    if open_zero:
         u = u[1:]
     rho = np.linspace(0.0, 1.0, n_rho)
-    signed = evaluate(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
+    signed = formula(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
     min_signed = float(np.nanmin(signed))
     best_err = -1.0
     while True:
@@ -223,9 +215,9 @@ def bound_error_scan(
             break
         u = np.linspace(u_lo, u_hi, _ZOOM)
         rho = np.linspace(r_lo, r_hi, _ZOOM)
-        signed = evaluate(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
+        signed = formula(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
     return ScanReport(
-        kind=tag,
+        kind=member.value,
         max_abs_error=best_err,
         u_at_max=best_u,
         rho_at_max=best_rho,

@@ -25,6 +25,7 @@ from scipy.special import ndtr, ndtri
 from .errors import DomainError
 from .engines import phi2_owen, validate_rho
 from .copula import copula_cdf, diag_cdf, halfline_cdf
+from .gauss import _scalar
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_legendre
 
 __all__ = [
@@ -67,18 +68,10 @@ class MeasureValue:
         return measure_invert(self.measure, min(max(self.value, -1.0), 1.0))
 
 
-def _scalar_rho(rho) -> float:
-    # The measures and moment integrals are scalar-only.
-    r = validate_rho(rho)
-    if not isinstance(r, float):
-        raise DomainError(f"correlation must be a scalar here, got {rho!r}")
-    return r
-
-
 def measure_closed_form(measure, rho: float) -> MeasureValue:
     """Closed-form value of a concordance measure at correlation rho."""
     m = Measure(measure)
-    r = _scalar_rho(rho)
+    r = validate_rho(_scalar(rho, "rho"))
     if m in (Measure.BLOMQVIST_BETA, Measure.KENDALL_TAU):
         value = (2.0 / np.pi) * np.arcsin(r)
     elif m is Measure.SPEARMAN_RHO:
@@ -95,7 +88,7 @@ def gini_forms(rho: float) -> tuple[float, float, float]:
     ~1e-15 for |rho| <= 0.99; keeping all three exercises the arcsine
     addition identity). Near |rho| = 1 the first magnifies the rounding of
     1 +- rho (3.5e-11 at 1 - 1e-12), so measure_closed_form uses the second."""
-    r = _scalar_rho(rho)
+    r = validate_rho(_scalar(rho, "rho"))
     f1 = (2.0 / np.pi) * (np.arcsin(0.5 * (1.0 + r)) - np.arcsin(0.5 * (1.0 - r)))
     f2 = (4.0 / np.pi) * (
         np.arcsin(0.5 * np.sqrt(1.0 + r)) - np.arcsin(0.5 * np.sqrt(1.0 - r))
@@ -167,7 +160,7 @@ def measure_numeric(measure, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG)
     (tau) and 5.1e-14 (Spearman) from the closed forms.
     """
     m = Measure(measure)
-    r = _scalar_rho(rho)
+    r = validate_rho(_scalar(rho, "rho"))
     if abs(r) > 0.99:
         raise DomainError("numeric cross-checks require |rho| <= 0.99")
     if m is Measure.BLOMQVIST_BETA:
@@ -236,14 +229,14 @@ def _panel_integral(section, cfg: QuadratureConfig, what: str) -> float:
 def diag_integral(rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int_0^1 C(u, u; rho) du by Gauss-Legendre on the halves and on the
     quarters of [0, 1]; raises ConvergenceError when the two miss ``cfg``."""
-    r = _scalar_rho(rho)
+    r = validate_rho(_scalar(rho, "rho"))
     return _panel_integral(lambda t: diag_cdf(t, r), cfg, "diagonal integral")
 
 
 def halfline_integral(rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int_0^1 C(u, 1/2; rho) du by Gauss-Legendre on the halves and on the
     quarters of [0, 1]; raises ConvergenceError when the two miss ``cfg``."""
-    r = _scalar_rho(rho)
+    r = validate_rho(_scalar(rho, "rho"))
     return _panel_integral(lambda t: halfline_cdf(t, r), cfg, "half-line integral")
 
 

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .engines import Phi2Method, _one_factor, _phi2, validate_rho
-from .gauss import _as_float_array, _maybe_scalar, _validate_unit
+from .gauss import _as_float_array, _maybe_scalar, _scalar, _validate_unit
 from .owen import _owen_t
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce, gauss_hermite, quad1d
 
@@ -231,9 +231,9 @@ def reduce_to_halflines(u: float, v: float, rho: float) -> HalflineReduction:
     at exactly 1/2 make the slope ratio undefined and are rejected; callers
     fall back to the direct formula there.
     """
-    r = validate_rho(rho, interior=True)
+    r = validate_rho(_scalar(rho, "rho"), interior=True)
     for name, val in (("u", u), ("v", v)):
-        _validate_unit(val, name, interior=True)
+        _validate_unit(_scalar(val, name), name, interior=True)
         if val == 0.5:
             raise DomainError(f"the half-line split is singular at {name} = 1/2")
     h = ndtri(u)
@@ -250,10 +250,8 @@ def reduce_to_halflines(u: float, v: float, rho: float) -> HalflineReduction:
 def line_from_diag(u: float, rho: float) -> float:
     """C(u, 1/2; rho) recovered from the diagonal section at 1 - 2 rho^2:
     half of it for rho < 0, its reflection u - half for rho > 0."""
-    r = validate_rho(rho)
-    _validate_unit(u, "u")
-    if r == 0.0:
-        return 0.5 * float(u)
+    r = validate_rho(_scalar(rho, "rho"))
+    _validate_unit(_scalar(u, "u"), "u")
     half_diag = 0.5 * diag_cdf(u, 1.0 - 2.0 * r * r)
     return half_diag if r < 0.0 else float(u) - half_diag
 
@@ -310,15 +308,17 @@ def copula_factor_integral(
     convergence failure is raised.
     """
     for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not -1.0 < val < 1.0:
+        if not -1.0 < _scalar(val, name) < 1.0:
             raise DomainError(f"{name} must lie in (-1, 1), got {val!r}")
-    _validate_unit(u, "u")
-    _validate_unit(v, "v")
+    _validate_unit(_scalar(u, "u"), "u")
+    _validate_unit(_scalar(v, "v"), "v")
     if u in (0.0, 1.0) or v in (0.0, 1.0):
         return copula_cdf(u, v, alpha * beta * gamma)
     h = ndtri(u)
     k = ndtri(v)
-    lo, hi = _factor_orders(alpha, beta, gamma)
+    # gamma only turns the inner probit's direction to (gamma, sg); its slope
+    # beta/sb, and so the rule it needs, depends on the loadings alone.
+    lo, hi = _factor_orders(alpha, beta)
     coarse = _factor_integral_fixed(h, k, alpha, beta, gamma, lo)
     fine = _factor_integral_fixed(h, k, alpha, beta, gamma, hi)
     _enforce(abs(fine - coarse), fine, cfg, "factor integral")
@@ -335,10 +335,10 @@ def copula_single_factor(
     """One-factor limit of the factor integral: C(u, v; alpha beta) as
     E[ Phi((PhiInv(u) - alpha Z)/sa) Phi((PhiInv(v) - beta Z)/sb) ]."""
     for name, val in (("alpha", alpha), ("beta", beta)):
-        if not -1.0 < val < 1.0:
+        if not -1.0 < _scalar(val, name) < 1.0:
             raise DomainError(f"{name} must lie in (-1, 1), got {val!r}")
-    _validate_unit(u, "u")
-    _validate_unit(v, "v")
+    _validate_unit(_scalar(u, "u"), "u")
+    _validate_unit(_scalar(v, "v"), "v")
     if u in (0.0, 1.0) or v in (0.0, 1.0):
         return copula_cdf(u, v, alpha * beta)
     value = _one_factor(ndtri(u), ndtri(v), alpha, beta,
@@ -360,9 +360,9 @@ def copula_cond_integral(
     u and v swapped. Substituting t = Phi(x) gives
     int_{-inf}^{PhiInv(u)} phi(x) Phi((PhiInv(v) - rho x)/sqrt(1-rho^2)) dx.
     """
-    r = validate_rho(rho, interior=True)
-    _validate_unit(u, "u")
-    _validate_unit(v, "v")
+    r = validate_rho(_scalar(rho, "rho"), interior=True)
+    _validate_unit(_scalar(u, "u"), "u")
+    _validate_unit(_scalar(v, "v"), "v")
     if axis not in ("u", "v"):
         raise DomainError(f'axis must be "u" or "v", got {axis!r}')
     if axis == "v":

@@ -16,7 +16,7 @@ from scipy.special import ndtr, ndtri
 from .errors import DomainError
 from .engines import Phi2Method, phi2_cdf
 from .copula import copula_cdf, diag_cdf
-from .gauss import norm_pdf, _as_float_array, _maybe_scalar, _validate_unit
+from .gauss import norm_pdf, _as_float_array, _maybe_scalar, _scalar, _validate_unit
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = ["SkewNormal", "Vasicek"]
@@ -45,7 +45,7 @@ class SkewNormal:
     ) -> float:
         """P(X <= x) = 2 Phi2(x, 0; -lam / sqrt(1 + lam^2))."""
         rho = -self.lam / np.hypot(1.0, self.lam)
-        return min(2.0 * phi2_cdf(float(x), 0.0, rho, method, cfg), 1.0)
+        return min(2.0 * phi2_cdf(_scalar(x, "x"), 0.0, rho, method, cfg), 1.0)
 
     def cdf_diagonal(self, x: float) -> float:
         """Same CDF through the diagonal copula section at

@@ -40,6 +40,14 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _scalar(x, name: str) -> float:
+    # For the scalar-only functions: a number or 0-d array, never a longer array.
+    arr, scalar = _as_float_array(x)
+    if not scalar:
+        raise DomainError(f"{name} must be a scalar here, got {x!r}")
+    return float(arr)
+
+
 def _validate_unit(x, name: str, interior: bool = False) -> tuple[np.ndarray, bool]:
     arr, scalar = _as_float_array(x)
     inside = (arr > 0.0) & (arr < 1.0) if interior else (arr >= 0.0) & (arr <= 1.0)

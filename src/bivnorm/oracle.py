@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .engines import validate_rho
-from .gauss import _validate_unit
+from .gauss import _scalar, _validate_unit
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _enforce
 
 __all__ = [
@@ -51,9 +51,9 @@ def quad2d_phi2(
     ConvergenceError carrying the achieved estimate when the integrator
     cannot certify ``cfg.abs_tol``.
     """
-    r = validate_rho(rho, interior=True)
-    h = float(h)
-    k = float(k)
+    r = validate_rho(_scalar(rho, "rho"), interior=True)
+    h = _scalar(h, "h")
+    k = _scalar(k, "k")
     if np.isnan(h) or np.isnan(k):
         raise DomainError("quad2d_phi2 arguments must not be NaN")
     if h == -np.inf or k == -np.inf:
@@ -133,12 +133,14 @@ class McEstimate:
     n_paths: int
 
 
-def _block_rngs(mc: McConfig) -> list[np.random.Generator]:
+def _blocks(mc: McConfig):
+    """Yield (rng, n) per block; the n add up to mc.n_paths."""
     n_blocks = -(-mc.n_paths // _BLOCK_SIZE)
     # Counter-based bit generator with an independent child seed per block:
     # the estimate does not depend on how blocks are scheduled.
-    children = np.random.SeedSequence(mc.seed).spawn(n_blocks)
-    return [np.random.Generator(np.random.Philox(s)) for s in children]
+    for i, child in enumerate(np.random.SeedSequence(mc.seed).spawn(n_blocks)):
+        n = min(_BLOCK_SIZE, mc.n_paths - i * _BLOCK_SIZE)
+        yield np.random.Generator(np.random.Philox(child)), n
 
 
 def mc_factor_model(model: FactorModel, mc: McConfig = McConfig()) -> McEstimate:
@@ -154,10 +156,7 @@ def mc_factor_model(model: FactorModel, mc: McConfig = McConfig()) -> McEstimate
     t_u = ndtri(model.u)
     t_v = ndtri(model.v)
     hits = 0
-    remaining = mc.n_paths
-    for rng in _block_rngs(mc):
-        n = min(_BLOCK_SIZE, remaining)
-        remaining -= n
+    for rng, n in _blocks(mc):
         y = rng.standard_normal(n)
         yt = model.gamma * y + c_g * rng.standard_normal(n)
         x = model.alpha * y + c_a * rng.standard_normal(n)
@@ -177,10 +176,7 @@ def mc_conditional_probability(model: FactorModel, mc: McConfig = McConfig()) ->
     t_u = ndtri(model.u)
     total = 0.0
     total_sq = 0.0
-    remaining = mc.n_paths
-    for rng in _block_rngs(mc):
-        n = min(_BLOCK_SIZE, remaining)
-        remaining -= n
+    for rng, n in _blocks(mc):
         p = ndtr((t_u - model.alpha * rng.standard_normal(n)) / c_a)
         total += float(np.sum(p))
         total_sq += float(np.sum(p * p))

@@ -92,6 +92,30 @@ class TestSandwich:
         assert gaps[-1] > 0
 
 
+class TestArrayEqualsScalar:
+    U_EDGES = np.array([0.0, 1e-300, 1e-12, 1e-6, 0.1, 0.25, 0.4, 0.5])
+    RHO_EDGES = np.array([0.0, 1e-12, 0.3, 0.7, 1.0 - 1e-12, 1.0])
+
+    @pytest.mark.parametrize("kind", list(B) + list(A), ids=lambda k: k.value)
+    def test_separable_grid_equals_scalar_loop(self, kind):
+        evaluate = diag_bound if isinstance(kind, B) else diag_approx
+        u = self.U_EDGES if isinstance(kind, B) else self.U_EDGES[1:]
+        rows, raising = [], []
+        for x in u:
+            try:
+                rows.append([evaluate(kind, float(x), float(r)) for r in self.RHO_EDGES])
+            except DomainError:  # mee_owen's radicand underflows at u = 1e-300
+                raising.append(x)
+        for x in raising:
+            with pytest.raises(DomainError):
+                evaluate(kind, np.array([[x]]), self.RHO_EDGES[None, :])
+        grid = np.setdiff1d(u, raising)
+        out = evaluate(kind, grid[:, None], self.RHO_EDGES[None, :])
+        expected = np.array(rows)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestApproximations:
     def test_conditional_moment_collapses_at_independence(self):
         for u in (0.1, 0.3, 0.5):

@@ -549,6 +549,15 @@ class TestFactorIntegrals:
         val = copula_factor_integral(0.3, 0.6, 0.7, 0.8, 0.5, cfg)
         assert val == pytest.approx(copula_cdf(0.3, 0.6, 0.28), abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", [0.9, -0.9, 0.99, -0.99])
+    def test_high_factor_correlation(self, gamma):
+        # gamma does not steepen the integrand, so loadings <= 0.8 keep the
+        # short rule however close |gamma| is to 1
+        for alpha, beta in ((0.8, 0.8), (-0.8, 0.5), (0.3, -0.7)):
+            for u, v in ((0.05, 0.7), (0.3, 0.3), (0.9, 0.02)):
+                direct = copula_cdf(u, v, alpha * beta * gamma)
+                assert abs(copula_factor_integral(u, v, alpha, beta, gamma) - direct) <= 1e-14
+
     def test_single_factor_route(self):
         cfg = QuadratureConfig(abs_tol=1e-9)
         val = copula_single_factor(0.3, 0.6, 0.7, 0.4, cfg)

@@ -31,6 +31,7 @@ upper bound, ~0.015 at rho ~ 0.5961 for the half-argument bound).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,13 +70,15 @@ class DiagApproxKind(enum.Enum):
 
 
 def _mee_owen(u, rho):
-    # Normal approximation matching the first two conditional moments.
+    # Normal approximation matching the first two conditional moments, with
+    # the radicand divided through by u^2 (m = phi(x)/u), so that it does not
+    # underflow for tiny u.
     x = ndtri(u)
-    pdf_x = norm_pdf(x)
-    rad = u * u - rho * rho * pdf_x * (u * x + pdf_x)
+    m = norm_pdf(x) / u
+    rad = 1.0 - rho * rho * m * (x + m)
     if np.any(rad <= 0.0):
         raise DomainError("conditional-moment approximation undefined here (radicand <= 0)")
-    return u * ndtr((u * x + rho * pdf_x) / np.sqrt(rad))
+    return u * ndtr((x + rho * m) / np.sqrt(rad))
 
 
 def _cox_wermuth(u, rho):
@@ -169,6 +172,18 @@ _ZOOM = 17
 _ZOOM_WIDTH = 1e-10
 
 
+@functools.lru_cache(maxsize=4)
+def _exact_grid(n_u: int, n_rho: int) -> np.ndarray:
+    """C(u, u; rho) on the coarse scan grid linspace(0, 1/2, n_u) x
+    linspace(0, 1, n_rho), computed once per grid size and shared, read-only,
+    by every kind's scan."""
+    u = np.linspace(0.0, 0.5, n_u)
+    rho = np.linspace(0.0, 1.0, n_rho)
+    grid = diag_cdf(u[:, None], rho[None, :])
+    grid.flags.writeable = False
+    return grid
+
+
 def _bracket(grid: np.ndarray, i: int) -> tuple[float, float]:
     return float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
 
@@ -183,7 +198,10 @@ def bound_error_scan(
 
     A coarse n_u x n_rho grid locates the worst point, then a zoom of small
     tensor grids over its +-1-cell bracket polishes the location to ~1e-10;
-    the reported maximum is never below the coarse-grid one.
+    the reported maximum is never below the coarse-grid one. The coarse
+    grid's exact C is computed once per grid size and shared by every kind
+    (a bounded cache of the last four sizes); the zoom grids move with the
+    argmax and are computed afresh.
     """
     try:
         member = DiagBoundKind(kind)
@@ -201,7 +219,7 @@ def bound_error_scan(
     if open_zero:
         u = u[1:]
     rho = np.linspace(0.0, 1.0, n_rho)
-    signed = formula(u[:, None], rho[None, :]) - diag_cdf(u[:, None], rho[None, :])
+    signed = formula(u[:, None], rho[None, :]) - _exact_grid(n_u, n_rho)[open_zero:]
     min_signed = float(np.nanmin(signed))
     best_err = -1.0
     while True:

@@ -232,8 +232,9 @@ def reduce_to_halflines(u: float, v: float, rho: float) -> HalflineReduction:
     fall back to the direct formula there.
     """
     r = validate_rho(_scalar(rho, "rho"), interior=True)
+    u, v = _scalar(u, "u"), _scalar(v, "v")
     for name, val in (("u", u), ("v", v)):
-        _validate_unit(_scalar(val, name), name, interior=True)
+        _validate_unit(val, name, interior=True)
         if val == 0.5:
             raise DomainError(f"the half-line split is singular at {name} = 1/2")
     h = ndtri(u)

@@ -1,8 +1,10 @@
 """Diagonal bound/approximation tests: sandwich ordering, tightness cases,
 optimality witnesses, and the worst-case-error scans."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from bivnorm import bounds as bounds_module
 from bivnorm import (
@@ -100,18 +102,10 @@ class TestArrayEqualsScalar:
     def test_separable_grid_equals_scalar_loop(self, kind):
         evaluate = diag_bound if isinstance(kind, B) else diag_approx
         u = self.U_EDGES if isinstance(kind, B) else self.U_EDGES[1:]
-        rows, raising = [], []
-        for x in u:
-            try:
-                rows.append([evaluate(kind, float(x), float(r)) for r in self.RHO_EDGES])
-            except DomainError:  # mee_owen's radicand underflows at u = 1e-300
-                raising.append(x)
-        for x in raising:
-            with pytest.raises(DomainError):
-                evaluate(kind, np.array([[x]]), self.RHO_EDGES[None, :])
-        grid = np.setdiff1d(u, raising)
-        out = evaluate(kind, grid[:, None], self.RHO_EDGES[None, :])
-        expected = np.array(rows)
+        expected = np.array(
+            [[evaluate(kind, float(x), float(r)) for r in self.RHO_EDGES] for x in u]
+        )
+        out = evaluate(kind, u[:, None], self.RHO_EDGES[None, :])
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
@@ -167,6 +161,33 @@ class TestApproximations:
     def test_zero_u_rejected_for_approx(self):
         with pytest.raises(DomainError):
             diag_approx(A.MEE_OWEN, 0.0, 0.5)
+
+    @pytest.mark.parametrize("u", [1e-200, 1e-300])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
+    def test_conditional_moment_at_tiny_u(self, u, rho):
+        # u * Phi((x + rho m) / sqrt(1 - rho^2 m (x + m))), x = PhiInv(u),
+        # m = phi(x)/u, at 40 digits. x + m ~ 1/|x| cancels, so the rounding
+        # of x is amplified ~x^2 times: measured 1e-8 relative at u = 1e-300,
+        # rho = 0.99. u^2 at rho = 0 underflows to 0 as it should.
+        with mp.workdps(40):
+            x = mp.mpf(float(ndtri(u)))
+            for _ in range(6):
+                x -= (mp.ncdf(x) - u) / mp.npdf(x)
+            m = mp.npdf(x) / u
+            ref = u * mp.ncdf((x + rho * m) / mp.sqrt(1 - rho * rho * m * (x + m)))
+        out = diag_approx(A.MEE_OWEN, u, rho)
+        assert out == pytest.approx(float(ref), rel=1e-7, abs=np.finfo(float).tiny)
+
+    def test_conditional_moment_at_subnormal_u(self):
+        # The quantile and phi(x) lose digits down here: each point is either
+        # a value in [0, u] or a DomainError, never NaN or a warning.
+        for u in (5e-324, 1e-320, 1e-310, 2e-308):
+            for rho in (0.0, 0.5, 0.99, 1.0):
+                try:
+                    out = diag_approx(A.MEE_OWEN, u, rho)
+                except DomainError:
+                    continue
+                assert 0.0 <= out <= u
 
 
 class TestScans:
@@ -247,3 +268,35 @@ class TestScanRefinement:
         assert abs(rep.max_abs_error - abs(evaluate(kind, u, rho) - diag_cdf(u, rho))) <= 1e-15
         assert rep.max_abs_error >= coarse.max_abs_error
         assert rep.min_signed_error == coarse.min_signed_error
+
+
+class TestExactGridCache:
+    def test_ten_kinds_share_one_coarse_grid(self, monkeypatch):
+        bounds_module._exact_grid.cache_clear()
+        shapes = []
+
+        def counted(u, rho):
+            shapes.append(np.broadcast_shapes(np.shape(u), np.shape(rho)))
+            return diag_cdf(u, rho)
+
+        monkeypatch.setattr(bounds_module, "diag_cdf", counted)
+        for kind in list(B) + list(A):
+            bound_error_scan(kind, n_u=120, n_rho=90)
+        assert shapes.count((120, 90)) == 1
+        assert (119, 90) not in shapes  # the approximations slice the shared grid
+
+    def test_grid_is_read_only(self):
+        grid = bounds_module._exact_grid(30, 20)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        assert bounds_module._exact_grid.cache_info().maxsize == 4
+
+    def test_evicted_size_recomputes_the_same_report(self):
+        bounds_module._exact_grid.cache_clear()
+        first = bound_error_scan(A.MEE_OWEN, n_u=41, n_rho=23)
+        for n in (24, 25, 26, 27):
+            bound_error_scan(B.UPPER_THM2, n_u=41, n_rho=n)
+        misses = bounds_module._exact_grid.cache_info().misses
+        again = bound_error_scan(A.MEE_OWEN, n_u=41, n_rho=23)
+        assert bounds_module._exact_grid.cache_info().misses == misses + 1
+        assert again == first

@@ -501,6 +501,13 @@ class TestReductions:
             red = reduce_to_halflines(u, v, rho)
             assert red.value() == pytest.approx(copula_cdf(u, v, rho), abs=1e-10)
 
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array], ids=["float", "float64", "0d"])
+    def test_fields_are_python_floats(self, wrap):
+        red = reduce_to_halflines(wrap(0.3), wrap(0.6), wrap(0.28))
+        for name, value in vars(red).items():
+            assert type(value) is float, name
+        assert red == reduce_to_halflines(0.3, 0.6, 0.28)
+
     def test_singular_at_half(self):
         with pytest.raises(DomainError):
             reduce_to_halflines(0.5, 0.7, 0.2)

@@ -3,8 +3,8 @@
 Every engine reaches the same surface from a different direction: a
 T-function split, two correlation-path integrals started from opposite ends,
 a Hermite power series, and Gauss-Hermite quadrature of the one-factor
-representation. Watching them agree to 12+ digits (and against a slow 2-D
-quadrature of the density) is the whole point of having them all.
+representation. Watching them agree to 12+ digits (and against an
+independent 2-D quadrature oracle) is the whole point of having them all.
 """
 
 import numpy as np

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``eval`` (single values), ``compare`` (engines vs the slow 2-D
-oracle on a grid, optionally with a Monte Carlo column), ``scan-bounds``
-(worst-case error scans of the diagonal bounds/approximations),
-``concordance`` (closed form / numeric / inversion), ``dist`` (skew-normal
-and Vasicek queries).
+Subcommands: ``eval`` (single values), ``compare`` (engines vs the 2-D
+quadrature oracle on a grid, optionally with a Monte Carlo column),
+``scan-bounds`` (worst-case error scans of the diagonal
+bounds/approximations), ``concordance`` (closed form / numeric /
+inversion), ``dist`` (skew-normal and Vasicek queries).
 
 Exit codes: 0 success, 2 argument problems, 3 numerical failure. Output goes
 to stdout as plain values, CSV (stable header), or a JSON array; identical
@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -317,6 +318,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=1e-12)
 
 
+# Built once per process. No command mutates the parsed ``args``, so the
+# list defaults of ``compare`` can be shared between calls; keep it so.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bivnorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bivnorm.cli import main
+from bivnorm.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +115,27 @@ class TestCompare:
         mc = [r for r in rows if r["engine"] == "mc"]
         assert len(mc) == 1
         assert float(mc[0]["abs_error"]) < 0.02
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--rho", "high"])
+        assert info.value.code == 2
+        code, out, _ = run_cli(
+            capsys, "compare", "--h-grid", "0.5", "--k-grid", "-1", "--rho", "0.3",
+            "--engines", "owen", "--format", "csv",
+        )
+        assert code == 0 and len(out.splitlines()) == 3
+        # The flags given above must not leak into the shared defaults.
+        code, out, _ = run_cli(capsys, "compare", "--engines", "owen", "--format", "csv")
+        points = [r for r in csv.DictReader(io.StringIO(out)) if r["kind"] == "point"]
+        assert code == 0 and len(points) == 7 * 7 * 10
+        assert {float(r["h"]) for r in points} == {-3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0}
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--rho", "high"])
+        assert info.value.code == 2
 
 
 class TestScanBounds:

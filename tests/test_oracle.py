@@ -1,6 +1,8 @@
 """Oracle module tests: the 2-D quadrature reference and the factor-model
 Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,46 @@ from bivnorm import (
     mc_conditional_probability,
     mc_factor_model,
     norm_cdf,
+    phi2_cdf,
     phi2_density,
     quad1d,
     quad2d_phi2,
 )
 
 PHI2_12_M03_08 = 0.3813900467032083  # mpmath conditioning integral, 35 digits
+
+# (h, k, rho, Phi2) on every (h, k) pair of {-8, -3, 0, 2.5, inf}^2, each
+# rho in {+-0.3, +-0.8, +-0.99, 0.999} 3-4 times. Phi2 is a 40-digit mpmath
+# quad of phi(x) Phi((k - rho x)/s) over x <= h, split at the step
+# x = k/rho where it lies below h (Phi(h) where k = inf); extra splits at
+# k/rho +- {1, 4, 16} s/|rho| moved no value by 1e-35.
+MPMATH_PHI2 = [
+    (-8.0, -8.0, 0.3, 1.750664974025027e-24),
+    (-3.0, 0.0, 0.3, 0.0011450414881995054),
+    (0.0, np.inf, 0.3, 0.5),
+    (np.inf, -3.0, 0.3, 0.0013498980316300946),
+    (-8.0, 2.5, -0.3, 3.275720164757969e-16),
+    (0.0, -8.0, -0.3, 3.3283273996404338e-18),
+    (2.5, 0.0, -0.3, 0.4949602409427098),
+    (np.inf, np.inf, -0.3, 1.0),
+    (-3.0, -3.0, 0.8, 0.0003720923962678164),
+    (0.0, 2.5, 0.8, 0.49999901427853377),
+    (np.inf, -8.0, 0.8, 6.220960574271784e-16),
+    (-8.0, 0.0, -0.8, 1.6387780896490555e-42),
+    (-3.0, np.inf, -0.8, 0.0013498980316300946),
+    (2.5, -3.0, -0.8, 0.0005730699591840613),
+    (np.inf, 2.5, -0.8, 0.9937903346742238),
+    (-3.0, -8.0, 0.99, 6.220960574271784e-16),
+    (0.0, 0.0, 0.99, 0.4774732931777939),
+    (2.5, np.inf, 0.99, 0.9937903346742238),
+    (-8.0, -3.0, -0.99, 0.0),
+    (-3.0, 2.5, -0.99, 6.430432946408355e-08),
+    (2.5, -8.0, -0.99, 0.0),
+    (np.inf, 0.0, -0.99, 0.5),
+    (-8.0, np.inf, 0.999, 6.220960574271784e-16),
+    (0.0, -3.0, 0.999, 0.0013498980316300946),
+    (2.5, 2.5, 0.999, 0.9934777448469434),
+]
 
 
 class TestQuad2d:
@@ -58,6 +94,27 @@ class TestQuad2d:
     def test_boundary_rho_rejected(self):
         with pytest.raises(DomainError):
             quad2d_phi2(0.0, 0.0, 1.0)
+
+    def test_against_mpmath(self):
+        for h, k, rho, value in MPMATH_PHI2:
+            assert abs(quad2d_phi2(h, k, rho) - value) <= 1e-13, (h, k, rho)
+
+    @pytest.mark.parametrize("rho", [0.99999, -0.999999])
+    def test_memory_bounded_as_rho_nears_one(self, rho):
+        # Panels graded away from x = k/rho keep the node count at
+        # O(log(1/s)); panels of width ~s everywhere would need tens of MB.
+        tracemalloc.start()
+        try:
+            try:
+                value = quad2d_phi2(0.3, -0.4, rho)
+            except ConvergenceError:
+                value = None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        if value is not None:
+            assert abs(value - phi2_cdf(0.3, -0.4, rho)) <= 1e-14
 
 
 class TestQuad1d:

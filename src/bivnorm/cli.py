@@ -4,7 +4,11 @@ Subcommands: ``eval`` (single values), ``compare`` (engines vs the 2-D
 quadrature oracle on a grid, optionally with a Monte Carlo column),
 ``scan-bounds`` (worst-case error scans of the diagonal
 bounds/approximations), ``concordance`` (closed form / numeric /
-inversion), ``dist`` (skew-normal and Vasicek queries).
+inversion), ``dist skew-normal`` and ``dist vasicek`` (queries of the two
+laws). Each subcommand accepts only the flags it reads: every one takes
+``--format`` and ``--digits``; ``--abs-tol`` and ``--rel-tol`` go where a
+result honours them (``eval``, ``compare``, ``concordance``, ``dist
+skew-normal``), and ``--method`` on ``eval`` and ``dist skew-normal``.
 
 Exit codes: 0 success, 2 argument problems, 3 numerical failure. Output goes
 to stdout as plain values, CSV (stable header), or a JSON array; identical
@@ -45,6 +49,7 @@ from .dists import SkewNormal, Vasicek
 from .oracle import FactorModel, McConfig, mc_factor_model, quad2d_phi2
 
 _DEFAULT_DIGITS = 12
+_NAN = float("nan")
 
 _MEASURE_ALIASES = {
     "beta": Measure.BLOMQVIST_BETA,
@@ -97,41 +102,39 @@ def _method(args) -> Phi2Method:
 # ---------------------------------------------------------------------------
 
 
-_EVAL_FLAGS = {
-    "copula": ("u", "v", "rho"),
-    "phi2": ("h", "k", "rho"),
-    "density": ("u", "v", "rho"),
-    "cond": ("u", "v", "rho"),
-    "owen-t": ("h", "a"),
-    "g": ("u", "rho"),
+# Each quantity: the point flags it needs, and its value from the parsed
+# arguments and the checked tolerances.
+_EVAL = {
+    "copula": (("u", "v", "rho"),
+               lambda a, cfg: copula_cdf(a.u, a.v, a.rho, _method(a), cfg)),
+    "phi2": (("h", "k", "rho"),
+             lambda a, cfg: phi2_cdf(a.h, a.k, a.rho, _method(a), cfg)),
+    "density": (("u", "v", "rho"), lambda a, cfg: copula_density(a.u, a.v, a.rho)),
+    "cond": (("u", "v", "rho"),
+             lambda a, cfg: (cond_cdf_given_u if a.given == "u" else cond_cdf_given_v)(
+                 a.u, a.v, a.rho)),
+    "owen-t": (("h", "a"), lambda a, cfg: owen_t(a.h, a.a)),
+    "g": (("u", "rho"), lambda a, cfg: diag_g(a.u, a.rho)),
 }
 
 
 def cmd_eval(args) -> list[dict]:
     cfg = _cfg(args)
-    what = args.quantity
-    missing = [f"--{name}" for name in _EVAL_FLAGS[what] if getattr(args, name) is None]
+    needs, value = _EVAL[args.quantity]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
-        raise DomainError(f"eval {what} needs {' '.join(missing)}")
-    if what == "copula":
-        value = copula_cdf(args.u, args.v, args.rho, _method(args), cfg)
-    elif what == "phi2":
-        value = phi2_cdf(args.h, args.k, args.rho, _method(args), cfg)
-    elif what == "density":
-        value = copula_density(args.u, args.v, args.rho)
-    elif what == "cond":
-        fn = cond_cdf_given_u if args.given == "u" else cond_cdf_given_v
-        value = fn(args.u, args.v, args.rho)
-    elif what == "owen-t":
-        value = owen_t(args.h, args.a)
-    else:  # g
-        value = diag_g(args.u, args.rho)
-    return [{"value": float(value)}]
+        raise DomainError(f"eval {args.quantity} needs {' '.join(missing)}")
+    return [{"value": float(value(args, cfg))}]
 
 
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
+
+
+def _compare_row(kind, engine, h, k, rho, status, value=_NAN, abs_error=_NAN) -> dict:
+    return {"kind": kind, "engine": engine, "h": h, "k": k, "rho": rho,
+            "status": status, "value": value, "abs_error": abs_error}
 
 
 def cmd_compare(args) -> list[dict]:
@@ -144,58 +147,23 @@ def cmd_compare(args) -> list[dict]:
             for k in args.k_grid:
                 truth = quad2d_phi2(h, k, rho, cfg)
                 for engine in engines:
-                    row = {
-                        "kind": "point",
-                        "engine": engine.value,
-                        "h": h,
-                        "k": k,
-                        "rho": rho,
-                        "status": "ok",
-                        "value": float("nan"),
-                        "abs_error": float("nan"),
-                    }
+                    row = _compare_row("point", engine.value, h, k, rho, "ok")
                     try:
-                        val = phi2_cdf(h, k, rho, engine, cfg)
+                        row["value"] = phi2_cdf(h, k, rho, engine, cfg)
                     except EngineRejected as exc:
                         row["status"] = f"rejected ({exc})"
-                        rows.append(row)
-                        continue
                     except ConvergenceError as exc:
                         row["status"] = f"unconverged (estimate {exc.estimate:.3e})"
-                        rows.append(row)
-                        continue
-                    row["value"] = val
-                    row["abs_error"] = abs(val - truth)
-                    worst[engine.value] = max(worst.get(engine.value, 0.0), row["abs_error"])
+                    else:
+                        row["abs_error"] = abs(row["value"] - truth)
+                        worst[engine.value] = max(worst.get(engine.value, 0.0), row["abs_error"])
                     rows.append(row)
                 if args.mc_paths:
                     est = _mc_point(h, k, rho, args.mc_paths, args.seed)
-                    rows.append(
-                        {
-                            "kind": "point",
-                            "engine": "mc",
-                            "h": h,
-                            "k": k,
-                            "rho": rho,
-                            "status": f"se={est.std_error:.2e}",
-                            "value": est.estimate,
-                            "abs_error": abs(est.estimate - truth),
-                        }
-                    )
-    for engine in engines:
-        if engine.value in worst:
-            rows.append(
-                {
-                    "kind": "summary",
-                    "engine": engine.value,
-                    "h": float("nan"),
-                    "k": float("nan"),
-                    "rho": float("nan"),
-                    "status": "max",
-                    "value": float("nan"),
-                    "abs_error": worst[engine.value],
-                }
-            )
+                    rows.append(_compare_row("point", "mc", h, k, rho, f"se={est.std_error:.2e}",
+                                             est.estimate, abs(est.estimate - truth)))
+    rows += [_compare_row("summary", e.value, _NAN, _NAN, _NAN, "max", abs_error=worst[e.value])
+             for e in engines if e.value in worst]
     return rows
 
 
@@ -232,28 +200,24 @@ def cmd_scan_bounds(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _concordance_row(kind: str, measure: Measure, rho, value) -> dict:
+    return {"kind": kind, "measure": measure.value, "rho": rho, "value": value}
+
+
 def cmd_concordance(args) -> list[dict]:
     measure = _MEASURE_ALIASES.get(args.measure, None) or Measure(args.measure)
     cfg = _cfg(args)
     closed = measure_closed_form(measure, args.rho)
-    rows = [
-        {"kind": "closed_form", "measure": measure.value, "rho": args.rho, "value": closed.value}
-    ]
+    rows = [_concordance_row("closed_form", measure, args.rho, closed.value)]
     if measure is Measure.GINI_GAMMA:
-        for i, form in enumerate(gini_forms(args.rho), start=1):
-            rows.append(
-                {"kind": f"closed_form_{i}", "measure": measure.value, "rho": args.rho, "value": form}
-            )
+        rows += [_concordance_row(f"closed_form_{i}", measure, args.rho, form)
+                 for i, form in enumerate(gini_forms(args.rho), start=1)]
     if args.numeric:
-        num = measure_numeric(measure, args.rho, cfg)
-        rows.append(
-            {"kind": "numeric", "measure": measure.value, "rho": args.rho, "value": num.value}
-        )
+        rows.append(_concordance_row("numeric", measure, args.rho,
+                                     measure_numeric(measure, args.rho, cfg).value))
     if args.invert:
-        back = measure_invert(measure, closed.value)
-        rows.append(
-            {"kind": "inverted", "measure": measure.value, "rho": back, "value": closed.value}
-        )
+        rows.append(_concordance_row("inverted", measure, measure_invert(measure, closed.value),
+                                     closed.value))
     return rows
 
 
@@ -262,47 +226,53 @@ def cmd_concordance(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dist(args) -> list[dict]:
+def _dist_row(family: str, quantity: str, arg, value) -> dict:
+    return {"family": family, "quantity": quantity, "arg": arg, "value": value}
+
+
+def cmd_skew_normal(args) -> list[dict]:
+    cfg = _cfg(args)
+    law = SkewNormal(args.lam)
     rows: list[dict] = []
-    if args.family == "skew-normal":
-        dist = SkewNormal(args.lam)
-        if args.pdf_at is not None:
-            rows.append({"family": "skew-normal", "quantity": "pdf", "arg": args.pdf_at,
-                         "value": float(dist.pdf(args.pdf_at))})
-        if args.x is not None:
-            rows.append({"family": "skew-normal", "quantity": "cdf", "arg": args.x,
-                         "value": dist.cdf(args.x, _method(args), _cfg(args))})
-        if not rows:
-            raise DomainError("skew-normal queries need --x (CDF) or --pdf-at")
-        return rows
-    dist = Vasicek(args.p, args.rho)
-    if args.quantile is not None:
-        rows.append({"family": "vasicek", "quantity": "quantile", "arg": args.quantile,
-                     "value": float(dist.quantile(args.quantile))})
-    if args.cdf is not None:
-        rows.append({"family": "vasicek", "quantity": "cdf", "arg": args.cdf,
-                     "value": float(dist.cdf(args.cdf))})
     if args.pdf_at is not None:
-        rows.append({"family": "vasicek", "quantity": "pdf", "arg": args.pdf_at,
-                     "value": float(dist.pdf(args.pdf_at))})
-    if args.mode:
-        rows.append({"family": "vasicek", "quantity": "mode", "arg": float("nan"),
-                     "value": dist.mode()})
-    if args.median:
-        rows.append({"family": "vasicek", "quantity": "median", "arg": float("nan"),
-                     "value": dist.median()})
-    if args.moments:
-        rows.append({"family": "vasicek", "quantity": "mean", "arg": float("nan"),
-                     "value": dist.mean()})
-        rows.append({"family": "vasicek", "quantity": "second_moment", "arg": float("nan"),
-                     "value": dist.second_moment()})
-        rows.append({"family": "vasicek", "quantity": "variance", "arg": float("nan"),
-                     "value": dist.variance()})
-    if args.shape:
-        rows.append({"family": "vasicek", "quantity": "shape", "arg": float("nan"),
-                     "value": dist.shape()})
+        rows.append(_dist_row("skew-normal", "pdf", args.pdf_at, float(law.pdf(args.pdf_at))))
+    if args.x is not None:
+        rows.append(_dist_row("skew-normal", "cdf", args.x, law.cdf(args.x, _method(args), cfg)))
     if not rows:
-        raise DomainError("nothing to compute: pass --quantile/--cdf/--pdf-at/--moments/--mode/--median/--shape")
+        raise DomainError("skew-normal queries need --x (CDF) or --pdf-at")
+    return rows
+
+
+# Each Vasicek query flag, in the order its rows print, with the methods of
+# the law it prints. A flag that takes a point evaluates them there; a
+# switch prints properties of the law.
+_VASICEK_QUERIES = (
+    ("--quantile", True, ("quantile",)),
+    ("--cdf", True, ("cdf",)),
+    ("--pdf-at", True, ("pdf",)),
+    ("--mode", False, ("mode",)),
+    ("--median", False, ("median",)),
+    ("--moments", False, ("mean", "second_moment", "variance")),
+    ("--shape", False, ("shape",)),
+)
+
+
+def cmd_vasicek(args) -> list[dict]:
+    law = Vasicek(args.p, args.rho)
+    rows: list[dict] = []
+    for flag, takes_point, methods in _VASICEK_QUERIES:
+        given = getattr(args, flag[2:].replace("-", "_"))
+        if given is None:
+            continue
+        for name in methods:
+            method = getattr(law, name)
+            if takes_point:
+                rows.append(_dist_row("vasicek", name, given, float(method(given))))
+            else:
+                rows.append(_dist_row("vasicek", name, _NAN, method()))
+    if not rows:
+        flags = "/".join(flag for flag, _, _ in _VASICEK_QUERIES)
+        raise DomainError(f"nothing to compute: pass {flags}")
     return rows
 
 
@@ -311,11 +281,14 @@ def cmd_dist(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--digits", type=int, default=_DEFAULT_DIGITS)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--rel-tol", type=float, default=1e-12)
+def _digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"digits must be a non-negative integer, got {text!r}")
+    return digits
 
 
 # Built once per process. No command mutates the parsed ``args``, so the
@@ -326,21 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     methods = [m.value for m in Phi2Method]
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    output.add_argument("--digits", type=_digits, default=_DEFAULT_DIGITS)
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--abs-tol", type=float, default=1e-12)
+    tolerances.add_argument("--rel-tol", type=float, default=1e-12)
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", choices=methods, default="auto")
 
-    p = sub.add_parser("eval", help="evaluate a single quantity")
-    p.add_argument("quantity", choices=("copula", "phi2", "density", "cond", "owen-t", "g"))
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--rho", type=float)
+    p = sub.add_parser("eval", help="evaluate a single quantity",
+                       parents=[output, tolerances, method])
+    p.add_argument("quantity", choices=_EVAL)
+    for name in dict.fromkeys(flag for needs, _ in _EVAL.values() for flag in needs):
+        p.add_argument(f"--{name}", type=float)
     p.add_argument("--given", choices=("u", "v"), default="u")
-    p.add_argument("--method", choices=methods, default="auto")
-    _add_common(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("compare", help="engines vs the 2-D quadrature oracle")
+    p = sub.add_parser("compare", help="engines vs the 2-D quadrature oracle",
+                       parents=[output, tolerances])
     p.add_argument("--h-grid", type=float, nargs="+", default=list(_DEFAULT_GRID))
     p.add_argument("--k-grid", type=float, nargs="+", default=list(_DEFAULT_GRID))
     p.add_argument("--rho", type=float, nargs="+", default=list(_DEFAULT_RHOS))
@@ -349,41 +326,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-paths", type=int, default=0,
                    help="additionally estimate each point by Monte Carlo with this many paths")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("scan-bounds", help="worst-case error scan on the diagonal wedge")
+    p = sub.add_parser("scan-bounds", help="worst-case error scan on the diagonal wedge",
+                       parents=[output])
     kinds = [k.value for k in DiagBoundKind] + [k.value for k in DiagApproxKind]
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--grid", type=_parse_grid, default=(200, 200), help="NxM, default 200x200")
     p.add_argument("--no-refine", action="store_true")
-    _add_common(p)
     p.set_defaults(fn=cmd_scan_bounds)
 
-    p = sub.add_parser("concordance", help="concordance measures")
+    p = sub.add_parser("concordance", help="concordance measures", parents=[output, tolerances])
     p.add_argument("--measure", required=True, choices=_MEASURE_CHOICES)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--invert", action="store_true")
-    _add_common(p)
     p.set_defaults(fn=cmd_concordance)
 
-    p = sub.add_parser("dist", help="skew-normal / Vasicek queries")
-    p.add_argument("family", choices=("skew-normal", "vasicek"))
+    family = sub.add_parser("dist", help="skew-normal / Vasicek queries").add_subparsers(
+        dest="family", required=True)
+    # Exact flags only: vasicek's --p must not be read as --pdf-at here.
+    p = family.add_parser("skew-normal", help="skew-normal pdf and CDF", allow_abbrev=False,
+                          parents=[output, tolerances, method])
     p.add_argument("--lam", type=float, default=0.0, help="skewness parameter")
-    p.add_argument("--x", type=float, help="skew-normal evaluation point")
+    p.add_argument("--x", type=float, help="CDF evaluation point")
+    p.add_argument("--pdf-at", type=float)
+    p.set_defaults(fn=cmd_skew_normal)
+    p = family.add_parser("vasicek", help="Vasicek default-rate law", parents=[output])
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--quantile", type=float)
-    p.add_argument("--cdf", type=float)
-    p.add_argument("--pdf-at", type=float)
-    p.add_argument("--moments", action="store_true")
-    p.add_argument("--mode", action="store_true")
-    p.add_argument("--median", action="store_true")
-    p.add_argument("--shape", action="store_true")
-    p.add_argument("--method", choices=methods, default="auto")
-    _add_common(p)
-    p.set_defaults(fn=cmd_dist)
+    for flag, takes_point, _ in _VASICEK_QUERIES:
+        if takes_point:
+            p.add_argument(flag, type=float)
+        else:
+            p.add_argument(flag, action="store_true", default=None)
+    p.set_defaults(fn=cmd_vasicek)
 
     return parser
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import roots_hermite
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 # Interval-splitting budget of the adaptive integrator.
 _MAX_SUBDIVISIONS = 200
@@ -36,7 +36,7 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+            raise DomainError("tolerances must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

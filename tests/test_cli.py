@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import bivnorm as bn
 from bivnorm.cli import build_parser, main
 
 
@@ -69,6 +70,94 @@ class TestEval:
         )
         assert code == 3
         assert "numerical failure" in err
+
+
+    @pytest.mark.parametrize("tol", [("--abs-tol", "0"), ("--rel-tol", "-0.5"),
+                                     ("--abs-tol", "nan")])
+    def test_bad_tolerance_exit_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "eval", "copula", "--u", "0.3", "--v", "0.4", "--rho", "0.5", *tol,
+        )
+        assert code == 2 and out == ""
+        assert "argument error" in err
+
+    def test_negative_digits_rejected_when_parsed(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("computed before the arguments were checked")
+
+        monkeypatch.setattr("bivnorm.cli.copula_cdf", never)
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "copula", "--u", "0.3", "--v", "0.4", "--rho", "0.5", "--digits", "-1"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+# Each eval quantity, each Vasicek query and the skew-normal pdf: the printed
+# value is the library's, formatted to the default 12 digits.
+_VASICEK = ("dist", "vasicek", "--p", "0.3", "--rho", "0.2")
+PINNED = [
+    (("eval", "copula", "--u", "0.3", "--v", "0.4", "--rho", "0.5"),
+     lambda: bn.copula_cdf(0.3, 0.4, 0.5)),
+    (("eval", "phi2", "--h", "0.3", "--k", "-0.4", "--rho", "0.5"),
+     lambda: bn.phi2_cdf(0.3, -0.4, 0.5)),
+    (("eval", "density", "--u", "0.3", "--v", "0.4", "--rho", "-0.5"),
+     lambda: bn.copula_density(0.3, 0.4, -0.5)),
+    (("eval", "cond", "--u", "0.3", "--v", "0.4", "--rho", "0.5"),
+     lambda: bn.cond_cdf_given_u(0.3, 0.4, 0.5)),
+    (("eval", "cond", "--u", "0.3", "--v", "0.4", "--rho", "0.5", "--given", "v"),
+     lambda: bn.cond_cdf_given_v(0.3, 0.4, 0.5)),
+    (("eval", "owen-t", "--h", "0.7", "--a", "1.3"), lambda: bn.owen_t(0.7, 1.3)),
+    (("eval", "g", "--u", "0.3", "--rho", "0.6"), lambda: bn.diag_g(0.3, 0.6)),
+    ((*_VASICEK, "--quantile", "0.99"), lambda: bn.Vasicek(0.3, 0.2).quantile(0.99)),
+    ((*_VASICEK, "--cdf", "0.4"), lambda: bn.Vasicek(0.3, 0.2).cdf(0.4)),
+    ((*_VASICEK, "--pdf-at", "0.4"), lambda: bn.Vasicek(0.3, 0.2).pdf(0.4)),
+    ((*_VASICEK, "--mode"), lambda: bn.Vasicek(0.3, 0.2).mode()),
+    ((*_VASICEK, "--median"), lambda: bn.Vasicek(0.3, 0.2).median()),
+    ((*_VASICEK, "--shape"), lambda: bn.Vasicek(0.3, 0.2).shape()),
+    (("dist", "skew-normal", "--lam", "1.5", "--pdf-at", "0.2"),
+     lambda: bn.SkewNormal(1.5).pdf(0.2)),
+]
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("argv, library", PINNED, ids=[" ".join(a[1:]) for a, _ in PINNED])
+    def test_value_is_the_library_value(self, capsys, argv, library):
+        code, out, _ = run_cli(capsys, *argv)
+        expected = library()
+        assert code == 0
+        assert out.split()[-1] == (expected if isinstance(expected, str)
+                                   else format(float(expected), ".12g"))
+
+    def test_vasicek_rows_in_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, *_VASICEK, "--shape", "--moments", "--median", "--mode", "--pdf-at", "0.4",
+            "--cdf", "0.4", "--quantile", "0.99", "--format", "csv",
+        )
+        law = bn.Vasicek(0.3, 0.2)
+        expected = [
+            ("quantile", law.quantile(0.99)), ("cdf", law.cdf(0.4)), ("pdf", law.pdf(0.4)),
+            ("mode", law.mode()), ("median", law.median()), ("mean", law.mean()),
+            ("second_moment", law.second_moment()), ("variance", law.variance()),
+            ("shape", law.shape()),
+        ]
+        rows = [(r["quantity"], r["value"]) for r in csv.DictReader(io.StringIO(out))]
+        assert code == 0
+        assert rows == [(q, v if isinstance(v, str) else format(float(v), ".12g"))
+                        for q, v in expected]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        ("dist", "vasicek", "--moments", "--x", "1"),
+        ("dist", "skew-normal", "--x", "0.7", "--quantile", "0.9"),
+        ("dist", "skew-normal", "--x", "0.7", "--p", "0.9"),
+        ("scan-bounds", "--kind", "lower_thm1", "--abs-tol", "1e-3"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCompare:

@@ -198,6 +198,12 @@ class TestValidityAndErrors:
         with pytest.raises(DomainError):
             phi2_cdf(0.0, 0.0, 1.2)
 
+    @pytest.mark.parametrize("tols", [{"abs_tol": 0.0}, {"rel_tol": -1e-12},
+                                      {"abs_tol": float("nan")}])
+    def test_tolerances_must_be_positive(self, tols):
+        with pytest.raises(DomainError, match="tolerances must be positive"):
+            QuadratureConfig(**tols)
+
     def test_validate_rho_arrays(self):
         assert isinstance(validate_rho(np.float64(0.5)), float)
         r = validate_rho([-1.0, 0.0, 0.5])

@@ -9,6 +9,9 @@ laws). Each subcommand accepts only the flags it reads: every one takes
 ``--format`` and ``--digits``; ``--abs-tol`` and ``--rel-tol`` go where a
 result honours them (``eval``, ``compare``, ``concordance``, ``dist
 skew-normal``), and ``--method`` on ``eval`` and ``dist skew-normal``.
+``eval`` rejects a flag that its quantity does not read: ``--given`` goes
+with ``cond`` only, ``--method`` and the tolerances with ``copula`` and
+``phi2`` only.
 
 Exit codes: 0 success, 2 argument problems, 3 numerical failure. Output goes
 to stdout as plain values, CSV (stable header), or a JSON array; identical
@@ -89,12 +92,16 @@ def _emit(rows: list[dict], fmt: str, digits: int) -> None:
         print(" ".join(_fmt(v, digits) for v in row.values()))
 
 
+# --method, --abs-tol, --rel-tol and eval's --given default to None, so that
+# eval can tell a flag given on the command line; unset, the library's
+# default applies.
 def _cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+    given = {name: getattr(args, name) for name in ("abs_tol", "rel_tol")}
+    return QuadratureConfig(**{name: tol for name, tol in given.items() if tol is not None})
 
 
 def _method(args) -> Phi2Method:
-    return Phi2Method(args.method)
+    return Phi2Method(args.method) if args.method else Phi2Method.AUTO
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +109,36 @@ def _method(args) -> Phi2Method:
 # ---------------------------------------------------------------------------
 
 
-# Each quantity: the point flags it needs, and its value from the parsed
-# arguments and the checked tolerances.
+_ENGINE_FLAGS = ("method", "abs_tol", "rel_tol")
+
+# Each quantity: the point flags it needs, the optional flags it reads, and
+# its value from the parsed arguments.
 _EVAL = {
-    "copula": (("u", "v", "rho"),
-               lambda a, cfg: copula_cdf(a.u, a.v, a.rho, _method(a), cfg)),
-    "phi2": (("h", "k", "rho"),
-             lambda a, cfg: phi2_cdf(a.h, a.k, a.rho, _method(a), cfg)),
-    "density": (("u", "v", "rho"), lambda a, cfg: copula_density(a.u, a.v, a.rho)),
-    "cond": (("u", "v", "rho"),
-             lambda a, cfg: (cond_cdf_given_u if a.given == "u" else cond_cdf_given_v)(
+    "copula": (("u", "v", "rho"), _ENGINE_FLAGS,
+               lambda a: copula_cdf(a.u, a.v, a.rho, _method(a), _cfg(a))),
+    "phi2": (("h", "k", "rho"), _ENGINE_FLAGS,
+             lambda a: phi2_cdf(a.h, a.k, a.rho, _method(a), _cfg(a))),
+    "density": (("u", "v", "rho"), (), lambda a: copula_density(a.u, a.v, a.rho)),
+    "cond": (("u", "v", "rho"), ("given",),
+             lambda a: (cond_cdf_given_v if a.given == "v" else cond_cdf_given_u)(
                  a.u, a.v, a.rho)),
-    "owen-t": (("h", "a"), lambda a, cfg: owen_t(a.h, a.a)),
-    "g": (("u", "rho"), lambda a, cfg: diag_g(a.u, a.rho)),
+    "owen-t": (("h", "a"), (), lambda a: owen_t(a.h, a.a)),
+    "g": (("u", "rho"), (), lambda a: diag_g(a.u, a.rho)),
 }
+_EVAL_POINT_FLAGS = tuple(dict.fromkeys(flag for needs, _, _ in _EVAL.values() for flag in needs))
 
 
 def cmd_eval(args) -> list[dict]:
-    cfg = _cfg(args)
-    needs, value = _EVAL[args.quantity]
+    needs, reads, value = _EVAL[args.quantity]
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise DomainError(f"eval {args.quantity} needs {' '.join(missing)}")
-    return [{"value": float(value(args, cfg))}]
+    unread = [f"--{name.replace('_', '-')}"
+              for name in (*_EVAL_POINT_FLAGS, "given", *_ENGINE_FLAGS)
+              if name not in needs + reads and getattr(args, name) is not None]
+    if unread:
+        raise DomainError(f"eval {args.quantity} does not read {' '.join(unread)}")
+    return [{"value": float(value(args))}]
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +152,9 @@ def _compare_row(kind, engine, h, k, rho, status, value=_NAN, abs_error=_NAN) ->
 
 
 def cmd_compare(args) -> list[dict]:
+    # The whole grid is checked before any point is computed.
+    if args.mc_paths and any(abs(rho) >= 0.99 for rho in args.rho):
+        raise DomainError("Monte Carlo comparison needs |rho| < 0.99")
     cfg = _cfg(args)
     engines = [Phi2Method(e) for e in args.engines]
     rows: list[dict] = []
@@ -170,12 +187,11 @@ def cmd_compare(args) -> list[dict]:
 def _mc_point(h: float, k: float, rho: float, n_paths: int, seed: int):
     # Route the point through the factor-model sampler: split rho into
     # loadings alpha beta = rho / 0.99 against factor correlation 0.99
-    # (plain half loadings at independence).
+    # (plain half loadings at independence); |rho| < 0.99 is checked by
+    # cmd_compare.
     if rho == 0.0:
         model = FactorModel(0.5, 0.5, 0.0, float(norm_cdf(h)), float(norm_cdf(k)))
     else:
-        if abs(rho) >= 0.99:
-            raise DomainError("Monte Carlo comparison needs |rho| < 0.99")
         load = np.sqrt(abs(rho) / 0.99)
         model = FactorModel(
             float(np.copysign(load, rho)), float(load), 0.99,
@@ -303,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     output.add_argument("--digits", type=_digits, default=_DEFAULT_DIGITS)
     tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--abs-tol", type=float, default=1e-12)
-    tolerances.add_argument("--rel-tol", type=float, default=1e-12)
+    tolerances.add_argument("--abs-tol", type=float)
+    tolerances.add_argument("--rel-tol", type=float)
     method = argparse.ArgumentParser(add_help=False)
-    method.add_argument("--method", choices=methods, default="auto")
+    method.add_argument("--method", choices=methods)
 
     p = sub.add_parser("eval", help="evaluate a single quantity",
                        parents=[output, tolerances, method])
     p.add_argument("quantity", choices=_EVAL)
-    for name in dict.fromkeys(flag for needs, _ in _EVAL.values() for flag in needs):
+    for name in _EVAL_POINT_FLAGS:
         p.add_argument(f"--{name}", type=float)
-    p.add_argument("--given", choices=("u", "v"), default="u")
+    p.add_argument("--given", choices=("u", "v"))
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("compare", help="engines vs the 2-D quadrature oracle",

@@ -166,9 +166,11 @@ class TestApproximations:
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
     def test_conditional_moment_at_tiny_u(self, u, rho):
         # u * Phi((x + rho m) / sqrt(1 - rho^2 m (x + m))), x = PhiInv(u),
-        # m = phi(x)/u, at 40 digits. x + m ~ 1/|x| cancels, so the rounding
-        # of x is amplified ~x^2 times: measured 1e-8 relative at u = 1e-300,
-        # rho = 0.99. u^2 at rho = 0 underflows to 0 as it should.
+        # m = phi(x)/u, at 40 digits. x + m ~ 1/|x| cancels; m is taken as
+        # the Mills ratio phi(x)/Phi(x) at the rounded x, so the rounding of
+        # x is not amplified: measured 3.1e-11 relative at u = 1e-300,
+        # rho = 0.99 (2.2e-8 with m = phi(x)/u). u^2 at rho = 0 underflows
+        # to 0 as it should.
         with mp.workdps(40):
             x = mp.mpf(float(ndtri(u)))
             for _ in range(6):
@@ -176,7 +178,7 @@ class TestApproximations:
             m = mp.npdf(x) / u
             ref = u * mp.ncdf((x + rho * m) / mp.sqrt(1 - rho * rho * m * (x + m)))
         out = diag_approx(A.MEE_OWEN, u, rho)
-        assert out == pytest.approx(float(ref), rel=1e-7, abs=np.finfo(float).tiny)
+        assert out == pytest.approx(float(ref), rel=1e-10, abs=np.finfo(float).tiny)
 
     def test_conditional_moment_at_subnormal_u(self):
         # The quantile and phi(x) lose digits down here: each point is either
@@ -300,3 +302,64 @@ class TestExactGridCache:
         again = bound_error_scan(A.MEE_OWEN, n_u=41, n_rho=23)
         assert bounds_module._exact_grid.cache_info().misses == misses + 1
         assert again == first
+
+
+class TestScanNewtonStep:
+    @pytest.mark.parametrize("n", [200, 100, 37])
+    @pytest.mark.parametrize("kind", list(B) + list(A), ids=lambda k: k.value)
+    def test_reported_error_is_evaluated_and_no_worse_than_coarse(self, kind, n):
+        rep = bound_error_scan(kind, n_u=n, n_rho=n)
+        evaluate = diag_bound if isinstance(kind, B) else diag_approx
+        u, rho = rep.u_at_max, rep.rho_at_max
+        assert abs(rep.max_abs_error - abs(evaluate(kind, u, rho) - diag_cdf(u, rho))) <= 1e-15
+        grid_u = np.linspace(0.0, 0.5, n)[:, None][isinstance(kind, A):]
+        grid_rho = np.linspace(0.0, 1.0, n)[None, :]
+        coarse = np.abs(evaluate(kind, grid_u, grid_rho) - diag_cdf(grid_u, grid_rho))
+        assert rep.max_abs_error >= np.nanmax(coarse)
+
+    @pytest.mark.parametrize("n", [200, 100, 120, 7])
+    @pytest.mark.parametrize("kind", list(bounds_module._UG_FACTORS), ids=lambda k: k.value)
+    def test_ug_kinds_coarse_grid_is_the_formula(self, kind, n):
+        # The scan multiplies the cached u g grid by the kind's factor; that
+        # must be the public formula's grid, byte for byte.
+        open_zero = isinstance(kind, A)
+        u = np.linspace(0.0, 0.5, n)[open_zero:, None]
+        rho = np.linspace(0.0, 1.0, n)[None, :]
+        _, ug = bounds_module._exact_grid(n, n)
+        coarse = ug[open_zero:] * bounds_module._UG_FACTORS[kind](u, rho)
+        evaluate = diag_bound if isinstance(kind, B) else diag_approx
+        assert coarse.tobytes() == evaluate(kind, u, rho).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, rho_star",
+        [(B.UPPER_THM2, THM2_RHO_STAR), (B.UPPER_THM3, upper_thm3_stationary_rho())],
+        ids=["upper_thm2", "upper_thm3"],
+    )
+    def test_default_scan_keeps_edge_maxima_on_the_edge(self, kind, rho_star):
+        # The worst point lies on u = 1/2: the step is 1-D along rho there.
+        rep = bound_error_scan(kind)
+        assert rep.u_at_max == 0.5
+        assert rep.rho_at_max == pytest.approx(rho_star, abs=1e-6)
+
+    def test_step_lands_on_the_peak_of_a_quadratic(self):
+        u = np.linspace(0.2, 0.3, 17)
+        rho = np.linspace(0.4, 0.6, 17)
+        u0, r0 = u[8] + 0.3 * (u[1] - u[0]), rho[8] - 0.6 * (rho[1] - rho[0])
+        du, dr = u[:, None] - u0, rho[None, :] - r0
+        peak = 1.0 - (40.0 * du**2 + 30.0 * du * dr + 10.0 * dr**2)
+        got = bounds_module._newton_point(peak, u, rho, 8, 8)
+        assert got == pytest.approx((u0, r0), abs=1e-12)
+        # far away the step stops at the stencil's edge
+        far = bounds_module._newton_point(peak, u, rho, 4, 12)
+        assert far == pytest.approx((u[5], rho[11]), abs=1e-15)
+        # a saddle gives no step
+        saddle = 1.0 - (40.0 * du**2 - 10.0 * dr**2)
+        assert bounds_module._newton_point(saddle, u, rho, 8, 8) is None
+        # past the end of the u axis only rho moves, to the edge's own peak;
+        # at a corner nothing does
+        du = u[:, None] - (u[16] + 0.5 * (u[1] - u[0]))
+        beyond = 1.0 - (40.0 * du**2 + 30.0 * du * dr + 10.0 * dr**2)
+        got = bounds_module._newton_point(beyond, u, rho, 16, 8)
+        assert got[0] == u[16]
+        assert got[1] == pytest.approx(r0 - 1.5 * float(du[16, 0]), abs=1e-12)
+        assert bounds_module._newton_point(beyond, u, rho, 16, 0) is None

@@ -322,3 +322,38 @@ class TestDeterminism:
         assert out.splitlines()[0] == (
             "kind,max_abs_error,u_at_max,rho_at_max,min_signed_error,n_u,n_rho"
         )
+
+
+class TestEvalUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        ("owen-t", "--h", "0", "--a", "1", "--u", "0.5", "--rho", "0.3", "--method", "owen",
+         "--abs-tol", "1e-3"),
+        ("owen-t", "--h", "0", "--a", "1", "--method", "auto"),
+        ("g", "--u", "0.3", "--rho", "0.6", "--v", "0.4"),
+        ("density", "--u", "0.3", "--v", "0.4", "--rho", "0.5", "--given", "u"),
+        ("cond", "--u", "0.3", "--v", "0.4", "--rho", "0.5", "--rel-tol", "1e-6"),
+        ("copula", "--u", "0.3", "--v", "0.4", "--rho", "0.5", "--given", "v"),
+        ("phi2", "--h", "0.3", "--k", "-0.4", "--rho", "0.5", "--u", "0.3"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert f"eval {argv[0]} does not read" in err
+
+    def test_read_flags_still_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "phi2", "--h", "0", "--k", "0", "--rho", "0.5",
+            "--method", "owen", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
+        )
+        assert code == 0 and out.strip() == "0.333333333333"
+
+
+class TestCompareChecksGridFirst:
+    def test_mc_rho_out_of_range_exits_before_any_work(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("bivnorm.cli.quad2d_phi2", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "compare", "--rho", "0.3", "0.6", "0.995",
+                                 "--mc-paths", "1000")
+        assert code == 2 and out == ""
+        assert "|rho| < 0.99" in err
+        assert calls == []

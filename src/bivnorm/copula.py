@@ -13,6 +13,7 @@ broadcast arrays. u in {0, 1} maps to -+inf, where T is 0 and Phi is 0 or
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -60,10 +61,11 @@ def copula_cdf(
     """
     uu, u_scalar = _validate_unit(u, "u")
     vv, v_scalar = _validate_unit(v, "v")
-    r, r_scalar = _as_float_array(validate_rho(rho))
+    r = validate_rho(rho)
     # 0 and 1 map to -+inf, which _phi2 resolves to the exact margins.
     out = _phi2(ndtri(uu), ndtri(vv), uu, vv, r, Phi2Method(method), cfg)
-    return _maybe_scalar(out, u_scalar and v_scalar and r_scalar)
+    # validate_rho gives a scalar rho back as a float.
+    return _maybe_scalar(out, u_scalar and v_scalar and isinstance(r, float))
 
 
 def copula_density(u, v, rho):
@@ -149,8 +151,10 @@ def apply_symmetry(kind: SymmetryKind, u: float, v: float, rho: float) -> Symmet
 
 
 def _lam(rho):
-    # sqrt((1-rho)/(1+rho)); +inf at rho = -1, 0 at rho = 1.
-    with np.errstate(divide="ignore"):
+    # sqrt((1-rho)/(1+rho)); +inf at rho = -1, 0 at rho = 1. Entering
+    # np.errstate costs ~1.1 us, so a 0-d rho other than -1 skips it.
+    quiet = np.ndim(rho) or rho == -1.0
+    with np.errstate(divide="ignore") if quiet else contextlib.nullcontext():
         return np.sqrt((1.0 - rho) / (1.0 + rho))
 
 

@@ -48,10 +48,23 @@ def _scalar(x, name: str) -> float:
     return float(arr)
 
 
+def _all(mask) -> bool:
+    # mask.all() costs ~1.4 us on a 0-d mask, where bool() takes 0.05 us; a
+    # comparison of Python floats is a plain bool, with no ndim.
+    return bool(mask.all()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
 def _validate_unit(x, name: str, interior: bool = False) -> tuple[np.ndarray, bool]:
     arr, scalar = _as_float_array(x)
-    inside = (arr > 0.0) & (arr < 1.0) if interior else (arr >= 0.0) & (arr <= 1.0)
-    if not inside.all():  # NaN fails this too
+    # A 0-d value compares as a float: the check takes ~0.7 us, against ~3.2 us
+    # on a 0-d array.
+    a = float(arr) if scalar else arr
+    inside = (a > 0.0) & (a < 1.0) if interior else (a >= 0.0) & (a <= 1.0)
+    if not _all(inside):  # NaN fails this too
         raise DomainError(f"{name} must lie in {'(0, 1)' if interior else '[0, 1]'}, got {x!r}")
     return arr, scalar
 

@@ -2,6 +2,7 @@
 regions, boundary shortcuts, and the correlation-derivative consistency."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,38 @@ class TestGenzKernel:
         h, k, rho, _ = _mpmath_grid()
         loop = [phi2_cdf(*p) for p in zip(h.tolist(), k.tolist(), rho.tolist())]
         assert np.array_equal(phi2_cdf(h, k, rho), np.array(loop))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_sign_high_batch(self, sign):
+        # A batch whose rho all lie in (0.925, 1), or all in (-1, -0.925),
+        # takes one mapping out of the expansion about +-1.
+        h, k, rho, exact = _mpmath_grid()
+        pick = (sign * rho > 0.925) & (sign * rho < 1.0)
+        h, k, rho, exact = h[pick], k[pick], rho[pick], exact[pick]
+        assert len(rho) >= 100
+        got = phi2_cdf(h, k, rho)
+        loop = [phi2_cdf(*p) for p in zip(h.tolist(), k.tolist(), rho.tolist())]
+        assert np.array_equal(got, np.array(loop))
+        assert np.max(np.abs(got - exact)) <= AUTO_ERROR_FLOOR
+
+    def test_huge_finite_arguments_give_exact_limits(self):
+        # Phi(+-1e300) is 1 or 0 in double, so the limits at +-inf are exact
+        # here too, at every rho; scalar and array calls agree bit for bit.
+        k = np.array([-38.5, -3.0, -0.4, 0.0, 1.2, 38.5])
+        rho = np.array([-1.0, -0.999, -0.96, -0.5, 0.0, 0.5, 0.96, 0.999, 1.0])
+        k, rho = (a.ravel() for a in np.meshgrid(k, rho))
+        pairs = list(zip(k.tolist(), rho.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (1e300, -1e300):
+                limit = norm_cdf(k) if big > 0.0 else np.zeros(k.shape)
+                assert np.array_equal(phi2_cdf(np.copysign(np.inf, big), k, rho), limit)
+                for got, loop in ((phi2_cdf(big, k, rho), [phi2_cdf(big, b, r) for b, r in pairs]),
+                                  (phi2_cdf(k, big, rho), [phi2_cdf(b, big, r) for b, r in pairs])):
+                    assert np.array_equal(got.view(np.int64), np.array(loop).view(np.int64))
+                    assert np.array_equal(got, limit)
+            assert phi2_cdf(1e300, 1e300, 0.5) == 1.0
+            assert phi2_cdf(1e300, -1e300, 0.5) == 0.0
 
     def test_high_branch_matches_owen(self):
         # The expansion branch against the T-function route on random points;

@@ -24,6 +24,7 @@ from bivnorm import (
     norm_pdf,
     norm_quantile,
 )
+from bivnorm.gauss import _validate_unit
 
 INV_SQRT_2PI = 0.3989422804014327  # 1/sqrt(2 pi)
 PDF_AT_1 = 0.24197072451914337    # phi(1), mpmath
@@ -147,6 +148,38 @@ class TestQuantile:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_property(self, p):
         assert abs(norm_cdf(norm_quantile(p)) - p) <= 1e-13
+
+
+# The unit check's edges: (value, accepted on [0, 1], accepted on (0, 1)).
+UNIT_EDGES = [
+    (0.0, True, False),
+    (1.0, True, False),
+    (-0.0, True, False),
+    (0.5, True, True),
+    (np.nextafter(1.0, 2.0), False, False),
+    (np.nextafter(0.0, -1.0), False, False),
+    (np.nan, False, False),
+    (np.array(0.25), True, True),
+    (np.array(1.0), True, False),
+    (np.float32(0.75), True, True),
+    (np.float32(0.0), True, False),
+]
+
+
+class TestUnitCheck:
+    @pytest.mark.parametrize("value,closed,interior", UNIT_EDGES)
+    def test_scalar_and_array_agree(self, value, closed, interior):
+        for inside, accepted in ((False, closed), (True, interior)):
+            span = "(0, 1)" if inside else "[0, 1]"
+            for x in (value, np.array([value])):
+                if accepted:
+                    arr, scalar = _validate_unit(x, "u", interior=inside)
+                    assert scalar == (np.ndim(x) == 0)
+                    assert np.array_equal(arr, np.asarray(x, dtype=float))
+                else:
+                    with pytest.raises(DomainError) as info:
+                        _validate_unit(x, "u", interior=inside)
+                    assert str(info.value) == f"u must lie in {span}, got {x!r}"
 
 
 class TestMillsRatio:
